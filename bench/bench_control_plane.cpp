@@ -1,18 +1,15 @@
-// Sharded control-plane throughput: fault sweep + recovery cost vs shard
-// count (DESIGN.md §13).
+// Scoped control-plane cost: one fault + recovery cycle (DESIGN.md §13).
 //
-// Experiment: per-event sweep work at mid scale — the serial control plane
-// classifies every chain on every fault, the sharded one walks only the
-// event's blast radius through the per-cluster membership indexes; the
-// table shows the visited-chain gap that buys the speedup.
+// Experiment: what one cycle does at mid scale — each handler sweeps only
+// its event's blast radius (the clusters whose AL it examined), so the
+// work per cycle is a handful of chains however many are live; the table
+// shows the repairs per cycle and that no chain is left needing a sweep.
 //
 // Benchmarks: an OPS failure+recovery cycle (AL repair, scoped sweep,
-// retry drain, rebalance) and a ToR cycle, parameterized by shard count.
-// Arg 0 is the unsharded serial baseline; arguments 1/2/4/8 run the
-// cluster-agent path. Mid scale (400 clusters / 400 chains) always runs;
-// the million-VM shape (12,500 racks, 100k clusters, 100k chains) is
-// registered only under ALVC_BENCH_SCALE=full because its one-off build
-// dominates a default bench run.
+// retry drain, rebalance) and a ToR cycle at mid scale (400 clusters /
+// 400 chains). The million-VM shape (12,500 racks, 100k clusters, 100k
+// chains) is registered only under ALVC_BENCH_SCALE=full because its
+// one-off build dominates a default bench run.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -86,16 +83,11 @@ core::DataCenter& million_vm_dc() {
   return *dc;
 }
 
-void configure_sharding(core::DataCenter& dc, std::int64_t shards) {
-  dc.orchestrator().set_sharding(static_cast<std::size_t>(shards));
-}
-
 util::OpsId owned_ops(const core::DataCenter& dc) {
   return dc.clusters().clusters().front()->layer.opss.front();
 }
 
 void ops_cycle_bench(benchmark::State& state, core::DataCenter& dc) {
-  configure_sharding(dc, state.range(0));
   const util::OpsId victim = owned_ops(dc);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dc.orchestrator().handle_ops_failure(victim));
@@ -105,12 +97,10 @@ void ops_cycle_bench(benchmark::State& state, core::DataCenter& dc) {
 }
 
 void BM_MidScaleOpsCycle(benchmark::State& state) { ops_cycle_bench(state, mid_dc()); }
-BENCHMARK(BM_MidScaleOpsCycle)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MidScaleOpsCycle)->Unit(benchmark::kMicrosecond);
 
 void BM_MidScaleTorCycle(benchmark::State& state) {
   core::DataCenter& dc = mid_dc();
-  configure_sharding(dc, state.range(0));
   const util::TorId victim{0};
   for (auto _ : state) {
     benchmark::DoNotOptimize(dc.orchestrator().handle_tor_failure(victim));
@@ -118,56 +108,35 @@ void BM_MidScaleTorCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
 }
-BENCHMARK(BM_MidScaleTorCycle)->Arg(0)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MidScaleTorCycle)->Unit(benchmark::kMicrosecond);
 
 void BM_MillionVmOpsCycle(benchmark::State& state) {
   ops_cycle_bench(state, million_vm_dc());
 }
 
 void print_experiment() {
-  std::cout << "=== Sharded control plane: per-event sweep work vs shard count ===\n\n";
-  core::TextTable table({"shards", "chains", "cycles", "chains visited", "visited/event"});
+  std::cout << "=== Scoped control plane: work per OPS fail+recover cycle ===\n\n";
+  core::TextTable table({"chains", "cycles", "repaired", "repaired/cycle", "pending after"});
   core::DataCenter& dc = mid_dc();
   constexpr int kCycles = 20;
-  const util::OpsId victim = owned_ops(dc);
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    dc.orchestrator().set_sharding(shards);
-    std::uint64_t before = 0;
-    const auto* agent = dc.orchestrator().agent();
-    if (agent != nullptr) {
-      for (std::size_t s = 0; s < agent->shard_count(); ++s) {
-        before += agent->shard(s).counters().chains_visited;
-      }
+  const std::size_t before = dc.orchestrator().stats().chains_repaired;
+  const auto clusters = dc.clusters().clusters();
+  for (int i = 0; i < kCycles; ++i) {
+    // A fresh cluster each cycle: its AL OPS hosts that cluster's chain, so
+    // every failure disturbs exactly one chain. (Re-failing one OPS would
+    // not: the first repair moves the chain off it.)
+    const util::OpsId victim = clusters[static_cast<std::size_t>(i)]->layer.opss.front();
+    if (!dc.orchestrator().handle_ops_failure(victim).has_value() ||
+        !dc.orchestrator().handle_ops_recovery(victim).has_value()) {
+      throw std::runtime_error("fault cycle failed");
     }
-    for (int i = 0; i < kCycles; ++i) {
-      if (!dc.orchestrator().handle_ops_failure(victim).has_value() ||
-          !dc.orchestrator().handle_ops_recovery(victim).has_value()) {
-        throw std::runtime_error("fault cycle failed");
-      }
-    }
-    std::uint64_t visited = 0;
-    agent = dc.orchestrator().agent();
-    if (agent != nullptr) {
-      for (std::size_t s = 0; s < agent->shard_count(); ++s) {
-        visited += agent->shard(s).counters().chains_visited;
-      }
-      visited -= before;
-    } else {
-      // The serial reference classifies every chain on each of the three
-      // sweeps a failure+recovery cycle runs (failure sweep, recovery
-      // settle sweep, retry drain is queue-driven).
-      visited = static_cast<std::uint64_t>(dc.orchestrator().chain_count()) * 2 * kCycles;
-    }
-    table.add_row_values(shards == 0 ? "serial" : std::to_string(shards),
-                         dc.orchestrator().chain_count(), kCycles * 2, visited,
-                         visited / (kCycles * 2));
   }
+  const std::size_t repaired = dc.orchestrator().stats().chains_repaired - before;
+  table.add_row_values(dc.orchestrator().chain_count(), kCycles, repaired, repaired / kCycles,
+                       dc.orchestrator().chains_needing_sweep().size());
   table.print();
-  std::cout << "\nExpected shape: the serial row visits every chain on every event; the\n"
-               "sharded rows visit only the failing OPS's blast radius (one cluster, one\n"
-               "chain) plus whatever the recovery restore pass touches, independent of\n"
-               "total chain count.\n\n";
-  dc.orchestrator().set_sharding(0);
+  std::cout << "\nExpected shape: one repair per cycle (the failing OPS's single chain),\n"
+               "independent of the live chain count, and zero chains pending a sweep.\n\n";
 }
 
 }  // namespace
@@ -177,8 +146,6 @@ int main(int argc, char** argv) {
   if (const char* env = std::getenv("ALVC_BENCH_SCALE");
       env != nullptr && std::string(env) == "full") {
     benchmark::RegisterBenchmark("BM_MillionVmOpsCycle", BM_MillionVmOpsCycle)
-        ->Arg(0)
-        ->Arg(8)
         ->Unit(benchmark::kMillisecond)
         ->Iterations(3);
   }

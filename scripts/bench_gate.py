@@ -5,7 +5,8 @@ usage: bench_gate.py <fresh.json> [<baseline.json>]
 
 Compares the fresh run's after_cpu_time_us per (bench, name) row against
 the baseline's. Without an explicit baseline the newest committed
-BENCH_PR*.json in the current directory (the repo root in CI) is used;
+BENCH_PR<n>.json in the current directory (the repo root in CI) is used,
+newest meaning the highest PR number <n> (BENCH_PR10 beats BENCH_PR9);
 with no committed trajectory at all the gate passes vacuously so the
 first PR that introduces benchmarks can land.
 
@@ -22,12 +23,25 @@ Exit codes: 0 clean, 1 regression, 2 usage or malformed input.
 import glob
 import json
 import os
+import re
 import sys
 
 
 def fail_usage(message):
     print(f"bench_gate: {message}", file=sys.stderr)
     sys.exit(2)
+
+
+def newest_committed_baseline():
+    """The BENCH_PR<n>.json in the current directory with the highest <n>,
+    or None. Sorted by the integer PR number: a lexical sort ranks
+    BENCH_PR9.json above BENCH_PR10.json."""
+    numbered = []
+    for path in glob.glob("BENCH_PR*.json"):
+        match = re.fullmatch(r"BENCH_PR(\d+)\.json", path)
+        if match:
+            numbered.append((int(match.group(1)), path))
+    return max(numbered)[1] if numbered else None
 
 
 def load(path):
@@ -53,12 +67,11 @@ def main(argv):
     if len(argv) == 3:
         baseline_path = argv[2]
     else:
-        committed = sorted(glob.glob("BENCH_PR*.json"), reverse=True)
-        if not committed:
+        baseline_path = newest_committed_baseline()
+        if baseline_path is None:
             print("bench_gate: no committed BENCH_PR*.json baseline; "
                   "gate passes vacuously")
             return 0
-        baseline_path = committed[0]
 
     try:
         tolerance = float(os.environ.get("ALVC_BENCH_TOLERANCE", "0.25"))

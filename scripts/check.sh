@@ -43,9 +43,8 @@
 #                                       #   elastic-soak, bench-smoke,
 #                                       #   scale-soak
 #   scripts/check.sh --bench-json <out> # run the tracked benchmarks
-#                                       #   (bench_route_cache,
-#                                       #   bench_fig4_al_construction,
-#                                       #   bench_sharded_control_plane) and
+#                                       #   (bench_fig4_al_construction,
+#                                       #   bench_control_plane) and
 #                                       #   write alvc-bench-trajectory-v1
 #                                       #   JSON; see emit_bench_json for
 #                                       #   baseline resolution
@@ -137,8 +136,7 @@ leg_asan() {
   cmake --build build-asan -j "$jobs" --target \
     topology_failure_api_test cluster_failure_test cluster_degraded_cluster_test \
     orchestrator_failure_test faults_fault_injector_test faults_state_auditor_test \
-    faults_chaos_soak_test orchestrator_route_cache_test \
-    orchestrator_route_cache_differential_test orchestrator_csr_chaos_differential_test \
+    faults_chaos_soak_test orchestrator_csr_chaos_differential_test \
     faults_overload_soak_test orchestrator_strict_ladder_differential_test \
     elastic_scaling_test elastic_migration_test elastic_elastic_soak_test
 
@@ -218,16 +216,11 @@ leg_elastic_soak() {
 }
 
 leg_bench_smoke() {
-  echo "== bench smoke: route cache + parallel AL build + elastic + sharded (tiny sizes, JSON out) =="
+  echo "== bench smoke: parallel AL build + elastic + control plane (tiny sizes, JSON out) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
-    bench_route_cache bench_parallel_al_build bench_elastic_scaling \
-    bench_sharded_control_plane
+    bench_parallel_al_build bench_elastic_scaling bench_control_plane
   mkdir -p build/bench-smoke
-  ./build/bench/bench_route_cache \
-    --benchmark_min_time=0.01 \
-    --benchmark_out=build/bench-smoke/route_cache.json \
-    --benchmark_out_format=json
   ./build/bench/bench_parallel_al_build \
     --benchmark_min_time=0.01 \
     --benchmark_out=build/bench-smoke/parallel_al_build.json \
@@ -236,29 +229,26 @@ leg_bench_smoke() {
     --benchmark_min_time=0.01 \
     --benchmark_out=build/bench-smoke/elastic_scaling.json \
     --benchmark_out_format=json
-  ./build/bench/bench_sharded_control_plane \
+  ./build/bench/bench_control_plane \
     --benchmark_min_time=0.01 \
-    --benchmark_out=build/bench-smoke/sharded_control_plane.json \
+    --benchmark_out=build/bench-smoke/control_plane.json \
     --benchmark_out_format=json
-  emit_bench_json build/bench-smoke/BENCH_PR10.json
+  emit_bench_json build/bench-smoke/BENCH_PR12.json
   echo "== bench regression gate: fresh trajectory vs newest committed BENCH_PR*.json =="
   # >25% slower on any tracked row fails the job; a noisy host can widen
   # the band with ALVC_BENCH_TOLERANCE (a fraction, e.g. 0.60).
-  python3 scripts/bench_gate.py build/bench-smoke/BENCH_PR10.json
+  python3 scripts/bench_gate.py build/bench-smoke/BENCH_PR12.json
   echo "== bench smoke artifacts in build/bench-smoke/ =="
 }
 
 leg_scale_soak() {
-  echo "== scale soak: sharded-vs-serial differential + million-VM smoke (Release) =="
+  echo "== scale soak: scoped-sweep quiescence + million-VM smoke (Release) =="
   cmake -B build-scale -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-scale -j "$jobs" --target \
-    orchestrator_sharded_differential_test faults_scale_soak_test
+    orchestrator_scoped_sweep_test faults_scale_soak_test
 
-  echo "== sharded differential, shard counts {1,2,4,8} (reduced seed set) =="
-  # CI runs fewer seeds than the local default (20) to bound wall clock;
-  # override with ALVC_SHARD_DIFF_SEEDS.
-  ALVC_SHARD_DIFF_SEEDS="${ALVC_SHARD_DIFF_SEEDS:-6}" ctest --test-dir build-scale \
-    --output-on-failure -R 'ShardedDifferentialTest'
+  echo "== scoped sweep: no chain left needing a sweep after any event (20 seeds) =="
+  ctest --test-dir build-scale --output-on-failure -R 'ScopedSweepTest'
 
   echo "== million-VM smoke: 100k chains over 1M VMs under mixed faults =="
   ALVC_SCALE_SOAK=1 ctest --test-dir build-scale --output-on-failure \
@@ -266,52 +256,52 @@ leg_scale_soak() {
 }
 
 # emit_bench_json <out.json> — runs the tracked benchmarks
-# (bench_route_cache, bench_fig4_al_construction, and the mid-scale
-# bench_sharded_control_plane serial/sharded cycles) and writes an
+# (bench_fig4_al_construction and the mid-scale bench_control_plane fault
+# cycles) and writes an
 # alvc-bench-trajectory-v1 JSON: per benchmark name, the current cpu time
 # in microseconds next to a "before" baseline and the resulting speedup.
-# With ALVC_BENCH_SCALE=full, the million-VM sharded benchmark also runs
+# With ALVC_BENCH_SCALE=full, the million-VM benchmark also runs
 # (from the Release build-scale tree — Debug at that size is minutes of
 # topology build alone) and its rows are merged in; CI runs without the
 # env, so those rows show up as [gone] in the gate, which is non-fatal.
 # Baseline resolution, in order:
-#   1. $ALVC_BENCH_BASELINE_DIR/{route_cache,fig4,sharded}.json — raw
+#   1. $ALVC_BENCH_BASELINE_DIR/{fig4,control_plane}.json — raw
 #      google-benchmark JSON captured on the pre-change tree;
-#   2. the newest committed BENCH_PR*.json at the repo root (its `before`
-#      values carry forward, so CI tracks drift against the trajectory);
+#   2. the newest committed BENCH_PR<n>.json at the repo root, highest <n>
+#      as in scripts/bench_gate.py (its `before` values carry forward, so
+#      CI tracks drift against the trajectory);
 #   3. null (no baseline available; speedup omitted).
 emit_bench_json() {
   local out="$1"
   echo "== bench json: tracked benchmarks -> $out =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" --target \
-    bench_route_cache bench_fig4_al_construction bench_sharded_control_plane
+    bench_fig4_al_construction bench_control_plane
   local tmpdir
   tmpdir="$(mktemp -d)"
-  ./build/bench/bench_route_cache \
-    --benchmark_min_time=0.05 \
-    --benchmark_out="$tmpdir/route_cache.json" \
-    --benchmark_out_format=json
   ./build/bench/bench_fig4_al_construction \
     --benchmark_min_time=0.05 \
     --benchmark_filter='/512$' \
     --benchmark_out="$tmpdir/fig4.json" \
     --benchmark_out_format=json
-  ALVC_BENCH_SCALE= ./build/bench/bench_sharded_control_plane \
+  ALVC_BENCH_SCALE= ./build/bench/bench_control_plane \
     --benchmark_min_time=0.05 \
-    --benchmark_out="$tmpdir/sharded.json" \
+    --benchmark_out="$tmpdir/control_plane.json" \
     --benchmark_out_format=json
   if [[ "${ALVC_BENCH_SCALE:-}" == "full" ]]; then
-    echo "== bench json: million-VM sharded rows (Release build-scale) =="
+    echo "== bench json: million-VM rows (Release build-scale) =="
     cmake -B build-scale -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build build-scale -j "$jobs" --target bench_sharded_control_plane
-    ALVC_BENCH_SCALE=full ./build-scale/bench/bench_sharded_control_plane \
+    cmake --build build-scale -j "$jobs" --target bench_control_plane
+    ALVC_BENCH_SCALE=full ./build-scale/bench/bench_control_plane \
       --benchmark_filter='MillionVm' \
-      --benchmark_out="$tmpdir/sharded_full.json" \
+      --benchmark_out="$tmpdir/control_plane_full.json" \
       --benchmark_out_format=json
   fi
   python3 - "$tmpdir" "$out" <<'PY'
 import json, os, sys
+
+sys.path.insert(0, "scripts")
+from bench_gate import newest_committed_baseline
 
 tmpdir, out = sys.argv[1], sys.argv[2]
 baseline_dir = os.environ.get("ALVC_BENCH_BASELINE_DIR", "")
@@ -326,26 +316,23 @@ def load_cpu_us(path):
         result[b["name"]] = b["cpu_time"] * scale
     return result
 
-after = {"bench_route_cache": load_cpu_us(f"{tmpdir}/route_cache.json"),
-         "bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
-         "bench_sharded_control_plane": load_cpu_us(f"{tmpdir}/sharded.json")}
-full_path = os.path.join(tmpdir, "sharded_full.json")
+after = {"bench_fig4_al_construction": load_cpu_us(f"{tmpdir}/fig4.json"),
+         "bench_control_plane": load_cpu_us(f"{tmpdir}/control_plane.json")}
+full_path = os.path.join(tmpdir, "control_plane_full.json")
 if os.path.exists(full_path):
-    after["bench_sharded_control_plane"].update(load_cpu_us(full_path))
+    after["bench_control_plane"].update(load_cpu_us(full_path))
 
 before = {}
 if baseline_dir:
-    for bench, raw in (("bench_route_cache", "route_cache.json"),
-                       ("bench_fig4_al_construction", "fig4.json"),
-                       ("bench_sharded_control_plane", "sharded.json")):
+    for bench, raw in (("bench_fig4_al_construction", "fig4.json"),
+                       ("bench_control_plane", "control_plane.json")):
         path = os.path.join(baseline_dir, raw)
         if os.path.exists(path):
             before[bench] = load_cpu_us(path)
 else:
-    import glob
-    committed_paths = sorted(glob.glob("BENCH_PR*.json"), reverse=True)
-    if committed_paths:
-        with open(committed_paths[0]) as f:
+    committed_path = newest_committed_baseline()
+    if committed_path:
+        with open(committed_path) as f:
             committed = json.load(f)
         for row in committed.get("benchmarks", []):
             if row.get("before_cpu_time_us") is not None:

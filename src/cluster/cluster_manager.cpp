@@ -75,10 +75,6 @@ Expected<ClusterId> ClusterManager::commit_built(ServiceId service, std::span<co
   for (VmId vm : group) set_vm_owner(vm, id);
   auto& peers = by_service_[service.value()];
   peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
-  // AL membership defines slice subgraphs; epoch-versioned route caches
-  // must see every change to it, so each layer mutation below bumps the
-  // topology's mutation epoch even though no element changed.
-  topo_->bump_mutation_epoch();
   return id;
 }
 
@@ -206,7 +202,7 @@ Status ClusterManager::destroy_cluster(ClusterId id) {
   }
   degraded_ids_.erase(id);
   clusters_.erase(it);
-  topo_->bump_mutation_epoch();
+  note_reshaped(id);
   return Status::ok();
 }
 
@@ -334,7 +330,7 @@ Expected<UpdateCost> ClusterManager::apply_reoptimized(VirtualCluster& vc, AlBui
   }
   vc.layer = std::move(rebuilt.layer);
   vc.connected = rebuilt.connected;
-  topo_->bump_mutation_epoch();
+  note_reshaped(vc.id);
   return cost;
 }
 
@@ -465,7 +461,7 @@ Expected<UpdateCost> ClusterManager::handle_ops_failure(alvc::util::OpsId ops,
 
   // The hardware is gone regardless of how the repair goes: evict it.
   std::erase(vc->layer.opss, ops);
-  topo_->bump_mutation_epoch();
+  note_reshaped(owner);
   ownership_.release(std::span<const alvc::util::OpsId>(&ops, 1), owner);
   cost.ops_changes += 1;
   cost.flow_rules += 1;
@@ -518,7 +514,7 @@ Expected<UpdateCost> ClusterManager::repair_coverage(VirtualCluster& vc) {
   }
   vc.layer = std::move(candidate);
   vc.connected = connected;
-  topo_->bump_mutation_epoch();
+  note_reshaped(vc.id);
   // Uplink repair fixes ToR-to-OPS coverage only; the cluster may still be
   // degraded for an unrelated reason (e.g. a member rack's ToR is down and
   // its VMs are unreachable), so re-derive the flag from actual coverage.
@@ -552,7 +548,7 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
     vc.layer.tors.clear();
     vc.connected = true;  // vacuously
     set_degraded(vc, !vc.vms.empty());
-    topo_->bump_mutation_epoch();
+    note_reshaped(vc.id);
     return cost;
   }
 
@@ -605,7 +601,7 @@ UpdateCost ClusterManager::rebuild_cluster(VirtualCluster& vc, const AlBuilder& 
   vc.layer = std::move(rebuilt->layer);
   vc.connected = rebuilt->connected;
   set_degraded(vc, reachable.size() != vc.vms.size());
-  topo_->bump_mutation_epoch();
+  note_reshaped(vc.id);
   return cost;
 }
 
@@ -624,7 +620,7 @@ Expected<UpdateCost> ClusterManager::handle_tor_failure(TorId tor, const AlBuild
     if (vc == nullptr || !vc->layer.contains_tor(tor)) continue;
     if (touched != nullptr) touched->push_back(id);
     std::erase(vc->layer.tors, tor);
-    topo_->bump_mutation_epoch();
+    note_reshaped(id);
     cost.tor_changes += 1;
     cost.flow_rules += 1;
     cost += rebuild_cluster(*vc, builder);
@@ -726,6 +722,12 @@ Expected<UpdateCost> ClusterManager::restore_degraded_clusters(const AlBuilder& 
   return cost;
 }
 
+std::vector<ClusterId> ClusterManager::take_reshaped_clusters() {
+  std::vector<ClusterId> ids(reshaped_ids_.begin(), reshaped_ids_.end());
+  reshaped_ids_.clear();
+  return ids;
+}
+
 std::vector<ClusterId> ClusterManager::clusters_containing_tor(TorId tor) const {
   std::vector<ClusterId> ids;
   for (const auto& [id, vc] : clusters_) {
@@ -752,22 +754,6 @@ const VirtualCluster* ClusterManager::find_by_service(ServiceId service) const {
   const auto it = by_service_.find(service.value());
   if (it == by_service_.end() || it->second.empty()) return nullptr;
   return find(it->second.front());
-}
-
-std::vector<ClusterId> ClusterManager::shard_cluster_ids(std::size_t shard,
-                                                         std::size_t shard_count) const {
-  std::vector<ClusterId> ids;
-  if (shard_count == 0) return ids;
-  for (ClusterId id : sorted_cluster_ids()) {
-    if (static_cast<std::size_t>(id.value()) % shard_count == shard) ids.push_back(id);
-  }
-  return ids;
-}
-
-Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_shard(
-    std::size_t shard, std::size_t shard_count, const AlBuilder& builder,
-    alvc::util::Executor* executor, BatchBuildStats* stats) {
-  return reoptimize_clusters(shard_cluster_ids(shard, shard_count), builder, executor, stats);
 }
 
 VirtualCluster* ClusterManager::find_mutable(ClusterId id) {
@@ -842,13 +828,14 @@ Expected<UpdateCost> ClusterManager::cover_tor(VirtualCluster& vc, TorId tor) {
   }
   vc.layer = std::move(candidate);
   vc.connected = connected;
-  topo_->bump_mutation_epoch();
+  note_reshaped(vc.id);
   return cost;
 }
 
 UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
   UpdateCost cost;
   std::erase(vc.layer.tors, tor);
+  note_reshaped(vc.id);
   cost.tor_changes += 1;
   cost.flow_rules += 1;
 
@@ -859,7 +846,6 @@ UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
     ownership_.release(vc.layer.opss, vc.id);
     vc.layer.opss.clear();
     vc.connected = true;
-    topo_->bump_mutation_epoch();
     return cost;
   }
   // Release OPSs that no longer uplink any remaining ToR, as long as the
@@ -881,7 +867,6 @@ UpdateCost ClusterManager::uncover_tor(VirtualCluster& vc, TorId tor) {
     }
   }
   vc.connected = cluster_subgraph_connected(*topo_, vc.layer);
-  topo_->bump_mutation_epoch();
   return cost;
 }
 

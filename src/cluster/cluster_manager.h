@@ -137,19 +137,6 @@ class ClusterManager {
       std::span<const ClusterId> ids, const AlBuilder& builder,
       alvc::util::Executor* executor = nullptr, BatchBuildStats* stats = nullptr);
 
-  /// Cluster ids owned by control-plane shard `shard` of `shard_count`
-  /// (id % shard_count == shard, matching ControlAgent's partition),
-  /// ascending. Empty when no live id hashes to the shard.
-  [[nodiscard]] std::vector<ClusterId> shard_cluster_ids(std::size_t shard,
-                                                         std::size_t shard_count) const;
-
-  /// reoptimize_clusters over one control-plane shard's clusters: the
-  /// shard-aware entry the sharded orchestrator uses so each shard
-  /// reoptimizes only the clusters it owns.
-  [[nodiscard]] Expected<std::vector<UpdateCost>> reoptimize_shard(
-      std::size_t shard, std::size_t shard_count, const AlBuilder& builder,
-      alvc::util::Executor* executor = nullptr, BatchBuildStats* stats = nullptr);
-
   // ---- failure handling ----
   //
   // All handlers are idempotent: a second report of an element already in
@@ -159,8 +146,8 @@ class ClusterManager {
   // Every AL-touching handler takes an optional `touched` list and appends
   // the id of each cluster whose AL it examined as affected (even when the
   // repair then failed or changed nothing) — the event's exact blast
-  // radius, which the sharded control plane uses to scope its post-event
-  // sweep to the affected chains instead of the whole population.
+  // radius, which the orchestrator uses to scope its post-event sweep to
+  // the affected chains instead of the whole population.
 
   /// Reacts to an OPS failure: marks it failed in the topology, evicts it
   /// from the owning AL (if any), re-covers the ToRs that lost their only
@@ -229,6 +216,13 @@ class ClusterManager {
   /// Clusters currently marked degraded, ascending. O(degraded) via the
   /// index restore_degraded_clusters walks.
   [[nodiscard]] std::vector<ClusterId> degraded_cluster_ids() const;
+  /// Clusters whose existing AL changed — or that were destroyed — since
+  /// the last call, ascending; clears the record. Fault and recovery
+  /// handlers report their own changes through `touched`, but VM churn,
+  /// migration, re-optimisation and destroy_cluster also reshape ALs, and
+  /// a chain can then sit on switches its slice no longer holds. The
+  /// orchestrator folds these ids into its next sweep's scope.
+  [[nodiscard]] std::vector<ClusterId> take_reshaped_clusters();
   /// Clusters whose AL contains `tor`, ascending. O(cluster count) scan;
   /// the orchestrator uses it as the blast radius of server events (settled
   /// placements and routes never leave their cluster's slice, and slice
@@ -282,6 +276,9 @@ class ClusterManager {
   /// The one writer of VirtualCluster::degraded: keeps the flag and the
   /// degraded-cluster index in lockstep (check_invariants cross-checks).
   void set_degraded(VirtualCluster& vc, bool degraded);
+  /// Records that `id`'s AL changed (see take_reshaped_clusters). Called at
+  /// every site that edits or drops an existing AL.
+  void note_reshaped(ClusterId id) { reshaped_ids_.insert(id); }
 
   alvc::topology::DataCenterTopology* topo_;
   OpsOwnership ownership_;
@@ -297,6 +294,8 @@ class ClusterManager {
   /// restore passes and scoped sweeps iterate them without an O(clusters)
   /// scan. Maintained solely by set_degraded and destroy_cluster.
   std::set<ClusterId> degraded_ids_;
+  /// Clusters whose AL changed since the last take_reshaped_clusters.
+  std::set<ClusterId> reshaped_ids_;
   ClusterId::value_type next_id_ = 0;
 };
 

@@ -26,13 +26,6 @@ const alvc::orchestrator::GreedyOpticalPlacement kFallbackPlacement;
 ChaosReport ChaosRunner::run() {
   ChaosReport report;
 
-  // Shard the control plane up front so every event in the run — baseline
-  // collection included — sees the same topology of shards. The runner
-  // stays a single-threaded driver; concurrency lives inside the
-  // orchestrator's own fan-outs.
-  orch_->set_sharding(params_.shards, params_.shard_executor);
-  report.shard_count = orch_->shard_count();
-
   std::vector<std::uint32_t> baseline;
   for (const ProvisionedChain* chain : orch_->chains()) {
     baseline.push_back(chain->record.id.value());

@@ -50,14 +50,6 @@ struct ChaosParams {
   /// throughput benchmarks where the audit would dominate.
   bool audit_every_event = true;
   std::size_t max_recorded_violations = 8;
-  /// Control-plane shards to run the orchestrator with (set_sharding is
-  /// called once at the start of run()); 0 leaves the serial path. The
-  /// runner itself stays a single-threaded driver either way — concurrency
-  /// lives inside the orchestrator's calls.
-  std::size_t shards = 0;
-  /// Executor for the sharded control plane's fan-outs; null runs every
-  /// shard pass serially. Must outlive the run.
-  alvc::util::Executor* shard_executor = nullptr;
 };
 
 struct ChaosReport {
@@ -73,7 +65,6 @@ struct ChaosReport {
   std::size_t load_rejected = 0;      // load provisions refused outright
   std::size_t load_torn_down = 0;     // load departures applied
   std::size_t controller_ticks = 0;   // on_tick invocations
-  std::size_t shard_count = 0;        // control-plane shards the run used (0 = serial)
   std::size_t audit_violations = 0;   // total across all audits (want 0)
   std::vector<std::string> violations;  // first few, timestamped
 

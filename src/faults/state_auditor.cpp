@@ -130,17 +130,6 @@ std::vector<std::string> StateAuditor::audit(
     }
   }
 
-  // Route cache(s): everything a cache would serve right now must still be
-  // servable (walks live hardware, carries an intact path fingerprint).
-  // Under sharding each shard owns a cache over its own clusters' keys;
-  // coherence is per-entry, so checking each against the full cluster set
-  // is exactly the serial check partitioned.
-  for (const auto* cache : orch.route_caches()) {
-    for (const std::string& v : cache->check_coherence(clusters.clusters())) {
-      out.push_back("route-cache: " + v);
-    }
-  }
-
   // Bandwidth: reservations fit capacity and ride live links.
   for (const auto& link : orch.bandwidth().reserved_links()) {
     const std::string tag =

@@ -33,9 +33,6 @@ class StateAuditor {
   ///     of the current switch graph;
   ///   * flow tables — every installed rule belongs to a live chain and
   ///     forwards over a live link;
-  ///   * route cache — every cached path the cache would serve under the
-  ///     current slice state walks live, in-slice hardware
-  ///     (RouteCache::check_coherence);
   ///   * bandwidth — every reservation fits its link's capacity and rides
   ///     a live link;
   ///   * slice capacity — per slice, the sum of reservations on its

@@ -24,30 +24,11 @@ NetworkOrchestrator::NetworkOrchestrator(alvc::cluster::ClusterManager& clusters
       controller_(clusters.topology()),
       admission_(clusters.topology(), catalog),
       bandwidth_(clusters.topology()),
-      router_(clusters.topology()),
-      route_cache_(clusters.topology()) {}
+      router_(clusters.topology()) {}
 
 Expected<ChainRoute> NetworkOrchestrator::route_linear(const VirtualCluster& vc,
-                                                       std::span<const HostRef> hosts,
-                                                       alvc::nfv::PriorityClass cls) {
-  const alvc::util::TorId ingress = vc.layer.tors.front();
-  const alvc::util::TorId egress = vc.layer.tors.back();
-  // Plain shortest-path legs are bandwidth-independent, so every cached
-  // route lives under the kFull tier; degraded refits reuse the same path
-  // at a lower reservation rather than re-routing per rung. The priority
-  // class still partitions the key: HIPRI and LOPRI legs never alias.
-  if (route_cache_enabled_) {
-    return active_route_cache(vc.id).route(router_, vc, ingress, egress, hosts,
-                                           BandwidthTier::kFull, cls);
-  }
-  return router_.route(vc, ingress, egress, hosts);
-}
-
-RouteCache& NetworkOrchestrator::active_route_cache(ClusterId cluster) {
-  // Route-cache keys are per-cluster (LegKey.cluster), so per-shard caches
-  // partition the key space: the union over shards behaves exactly like the
-  // one global cache.
-  return agent_ != nullptr ? agent_->shard_for_cluster(cluster).cache() : route_cache_;
+                                                       std::span<const HostRef> hosts) const {
+  return router_.route(vc, vc.layer.tors.front(), vc.layer.tors.back(), hosts);
 }
 
 const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service) const {
@@ -57,8 +38,6 @@ const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service
 std::vector<Status> NetworkOrchestrator::preadmit_chains(
     std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor) {
   ALVC_SPAN(span, "orchestrator.preadmit_chains");
-  // A sharded control plane lends its executor to the screen by default.
-  if (executor == nullptr && agent_ != nullptr) executor = agent_->executor();
   struct Screened {
     const VirtualCluster* vc = nullptr;
     AdmissionDecision decision;
@@ -177,7 +156,7 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
   auto route = load_balanced_routing_
                    ? router_.route_balanced(*vc, ingress, egress, placed->hosts, bandwidth_,
                                             routing_k_)
-                   : route_linear(*vc, placed->hosts, spec.priority);
+                   : route_linear(*vc, placed->hosts);
   if (!route) {
     for (auto inst : instances) {
       ALVC_IGNORE_STATUS(cloud_.terminate(inst),
@@ -236,7 +215,8 @@ Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& s
                          .flow_rules = rules,
                          .reserved_gbps = granted_gbps};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
-  if (agent_ != nullptr) agent_->register_chain(id, vc->id);
+  auto& members = chains_by_cluster_[vc->id];
+  members.insert(std::upper_bound(members.begin(), members.end(), id), id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
   log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
   ++stats_.chains_provisioned;
@@ -329,11 +309,7 @@ Expected<NfcId> NetworkOrchestrator::provision_forwarding_graph(
 
   const alvc::util::TorId ingress = vc->layer.tors.front();
   const alvc::util::TorId egress = vc->layer.tors.back();
-  auto route = route_cache_enabled_
-                   ? active_route_cache(vc->id).route_graph(router_, *vc, ingress, egress,
-                                                            gspec.graph, node_hosts,
-                                                            BandwidthTier::kFull, spec.priority)
-                   : router_.route_graph(*vc, ingress, egress, gspec.graph, node_hosts);
+  auto route = router_.route_graph(*vc, ingress, egress, gspec.graph, node_hosts);
   if (!route) {
     for (auto inst : instances) {
       ALVC_IGNORE_STATUS(cloud_.terminate(inst),
@@ -392,7 +368,8 @@ Expected<NfcId> NetworkOrchestrator::provision_forwarding_graph(
                          .forwarding_order = order,
                          .reserved_gbps = granted_gbps};
   auto [chain_it, inserted] = chains_.emplace(id, std::move(chain));
-  if (agent_ != nullptr) agent_->register_chain(id, vc->id);
+  auto& members = chains_by_cluster_[vc->id];
+  members.insert(std::upper_bound(members.begin(), members.end(), id), id);
   log_.append(sdn::ControlEventType::kSliceAllocated, slice->value());
   log_.append(sdn::ControlEventType::kChainProvisioned, id.value(), spec.name);
   ++stats_.chains_provisioned;
@@ -421,11 +398,9 @@ Status NetworkOrchestrator::teardown_chain(NfcId id) {
   }
   bandwidth_.release_walk(it->second.route.vertices, it->second.reserved_gbps);
   ALVC_IGNORE_STATUS(slices_.release(id), "teardown: chain is going away regardless");
-  // Cluster ids can be reused by a later build; a reused id must never see
-  // this tenant's paths, so teardown drops them eagerly instead of waiting
-  // for the epoch to catch the mismatch.
-  active_route_cache(it->second.cluster).invalidate_slice(it->second.cluster);
-  if (agent_ != nullptr) agent_->unregister_chain(id, it->second.cluster);
+  const auto members = chains_by_cluster_.find(it->second.cluster);
+  std::erase(members->second, id);
+  if (members->second.empty()) chains_by_cluster_.erase(members);
   chains_.erase(it);
   log_.append(sdn::ControlEventType::kSliceReleased, id.value());
   log_.append(sdn::ControlEventType::kChainTornDown, id.value());
@@ -490,7 +465,7 @@ Status NetworkOrchestrator::migrate_function(NfcId id, std::size_t function_inde
   // Tentatively compute the new route before committing anything.
   auto hosts = chain.placement.hosts;
   hosts[function_index] = target;
-  auto route = route_linear(*vc, hosts, chain.record.spec.priority);
+  auto route = route_linear(*vc, hosts);
   if (!route) return route.error();
   // Move the bandwidth reservation (conservative: new walk reserved while
   // the old one is still held, so shared links must fit both briefly).
@@ -614,11 +589,18 @@ void NetworkOrchestrator::park_chain(ProvisionedChain& chain) {
   chain.reserved_gbps = 0;
   chain.route = ChainRoute{};
   chain.flow_rules = 0;
+  // An instance left outside the slice (its AL shrank or dissolved) goes
+  // too: fit_chain may be unable to move it, and left live it would keep
+  // the chain disturbed after the sweep, on a host whose failure no longer
+  // falls inside the chain's blast radius.
+  const VirtualCluster* vc = clusters_->find(chain.cluster);
   for (std::size_t i = 0; i < chain.instances.size(); ++i) {
     if (!chain.instances[i].valid()) continue;
-    if (host_usable(chain.placement.hosts[i])) continue;
+    const HostRef& host = chain.placement.hosts[i];
+    if (host_usable(host) && (vc == nullptr || host_in_slice(host, *vc))) continue;
     ALVC_IGNORE_STATUS(cloud_.terminate(chain.instances[i]),
-                       "parking: the host is dead, the instance is gone either way");
+                       "parking: the host is dead or outside the slice; the instance goes "
+                       "either way");
     chain.instances[i] = alvc::util::VnfInstanceId::invalid();
   }
 }
@@ -673,7 +655,7 @@ double NetworkOrchestrator::fit_chain(ProvisionedChain& chain) {
   }
   finalize_placement(chain.placement);
 
-  auto route = route_linear(*vc, chain.placement.hosts, chain.record.spec.priority);
+  auto route = route_linear(*vc, chain.placement.hosts);
   if (!route) return 0;
   for (const auto& leg : route->legs) {
     if (!controller_.install_path(id, leg).is_ok()) {
@@ -767,33 +749,32 @@ void NetworkOrchestrator::apply_sweep_verdict(NfcId id, SweepVerdict verdict,
   }
 }
 
-std::size_t NetworkOrchestrator::sweep_chains(const std::vector<alvc::util::ClusterId>* scope) {
+std::size_t NetworkOrchestrator::sweep_chains(std::span<const ClusterId> scope) {
   ALVC_SPAN(span, "orchestrator.sweep_chains");
+  std::vector<NfcId> ids;
+  const auto collect = [&](ClusterId cluster) {
+    const auto it = chains_by_cluster_.find(cluster);
+    if (it == chains_by_cluster_.end()) return;
+    ids.insert(ids.end(), it->second.begin(), it->second.end());
+  };
+  for (ClusterId cluster : scope) collect(cluster);
+  // ALs reshaped since the last sweep outside any handler (VM churn,
+  // migration, re-optimisation, destroy_cluster) may have left chains on
+  // switches their slice no longer holds; settle those here too.
+  for (ClusterId cluster : clusters_->take_reshaped_clusters()) collect(cluster);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   std::size_t repaired = 0;
-  if (agent_ != nullptr) {
-    // Two-phase pass: classify every chain shard-parallel (pure reads — see
-    // SweepVerdict's comment), then apply verdicts serially in ascending id
-    // order. Applying chain A never changes what classify would decide for
-    // chain B, so this equals the serial classify-as-you-go loop below.
-    // With a scope, only the blast radius is classified (see the header);
-    // chains elsewhere would classify kNone, which apply ignores anyway.
-    const ControlAgent::Classifier classify = [this](NfcId id, ScanItem& item) {
-      const SweepVerdict verdict = classify_chain(id);
-      if (verdict == SweepVerdict::kNone) return false;
-      item.verdict = static_cast<int>(verdict);
-      return true;
-    };
-    const auto findings =
-        scope != nullptr ? agent_->scan_scoped(*scope, classify) : agent_->scan(classify);
-    for (const ScanItem& finding : findings) {
-      apply_sweep_verdict(finding.id, static_cast<SweepVerdict>(finding.verdict), repaired);
-    }
-    return repaired;
-  }
-  for (NfcId id : sorted_chain_ids()) {
-    apply_sweep_verdict(id, classify_chain(id), repaired);
-  }
+  for (NfcId id : ids) apply_sweep_verdict(id, classify_chain(id), repaired);
   return repaired;
+}
+
+std::vector<NfcId> NetworkOrchestrator::chains_needing_sweep() const {
+  std::vector<NfcId> pending;
+  for (NfcId id : sorted_chain_ids()) {
+    if (classify_chain(id) != SweepVerdict::kNone) pending.push_back(id);
+  }
+  return pending;
 }
 
 std::vector<alvc::util::ClusterId> NetworkOrchestrator::server_blast_radius(
@@ -808,18 +789,10 @@ std::vector<alvc::util::ClusterId> NetworkOrchestrator::server_blast_radius(
 std::size_t NetworkOrchestrator::drain_retry_queue() {
   ALVC_SPAN(span, "orchestrator.drain_retry_queue");
   ++recovery_epoch_;
-  // Sharded mode drains every shard's segment into one id-sorted batch
-  // (ids are unique across shards, so the merged order matches the serial
-  // queue's sort); entries the pass keeps go back to their owning shards.
-  std::vector<RetryEntry> entries;
-  if (agent_ != nullptr) {
-    entries = agent_->drain_retries();
-  } else {
-    std::sort(retry_queue_.begin(), retry_queue_.end(),
-              [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
-    entries = std::move(retry_queue_);
-    retry_queue_.clear();
-  }
+  std::sort(retry_queue_.begin(), retry_queue_.end(),
+            [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
+  std::vector<RetryEntry> entries = std::move(retry_queue_);
+  retry_queue_.clear();
   constexpr std::size_t kMaxAttempts = 16;
   std::size_t restored = 0;
   std::vector<RetryEntry> keep;
@@ -861,26 +834,12 @@ std::size_t NetworkOrchestrator::drain_retry_queue() {
         recovery_epoch_ + (1ULL << std::min<std::size_t>(entry.attempts, 6));
     keep.push_back(entry);
   }
-  if (agent_ != nullptr) {
-    for (const RetryEntry& entry : keep) {
-      // Kept entries passed the liveness check above, so the chain exists.
-      agent_->enqueue_retry(entry, chains_.at(entry.id).cluster);
-    }
-  } else {
-    retry_queue_ = std::move(keep);
-  }
-  ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
+  retry_queue_ = std::move(keep);
+  ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_.size()));
   return restored;
 }
 
 void NetworkOrchestrator::enqueue_retry(NfcId id) {
-  if (agent_ != nullptr) {
-    // Per-shard dedupe equals the serial queue's global dedupe: a chain's
-    // cluster (hence shard) never changes while it lives.
-    if (!agent_->enqueue_retry(RetryEntry{.id = id}, chains_.at(id).cluster)) return;
-    ALVC_GAUGE_SET("orchestrator.retry_queue.depth", static_cast<double>(retry_queue_size()));
-    return;
-  }
   for (const RetryEntry& entry : retry_queue_) {
     if (entry.id == id) return;
   }
@@ -912,29 +871,8 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
   const auto& topo = clusters_->topology();
   const double factor = allocator_.tor_budget_factor();
 
-  // Phase 1 (read-only): each routed chain's distinct route links, sorted —
-  // shard-parallel when sharded, one serial walk otherwise, ascending id
-  // either way. Parked chains have no route and stay with the retry queue.
-  std::vector<ScanItem> routed;
-  if (agent_ != nullptr) {
-    routed = agent_->scan([this](NfcId id, ScanItem& item) {
-      auto links = chain_link_keys(id);
-      if (!links) return false;
-      item.links = std::move(*links);
-      return true;
-    });
-  } else {
-    for (NfcId id : sorted_chain_ids()) {
-      auto links = chain_link_keys(id);
-      if (!links) continue;
-      ScanItem item;
-      item.id = id;
-      item.links = std::move(*links);
-      routed.push_back(std::move(item));
-    }
-  }
-
-  // Phase 2 (serial): index resources in encounter order and let the
+  // Index resources in encounter order (routed chains in ascending id; parked
+  // chains have no route and stay with the retry queue) and let the
   // allocator plan. Each distinct route link is a resource (coeff 1.0,
   // matching the ledger's once-per-distinct-link accounting), plus — when
   // the ToR budget is enabled — one aggregate uplink budget per ToR the
@@ -945,15 +883,16 @@ std::size_t NetworkOrchestrator::rebalance_bandwidth() {
   std::vector<AllocResource> resources;
   std::unordered_map<std::uint64_t, std::uint32_t> link_index;
   std::unordered_map<std::size_t, std::uint32_t> tor_budget_index;  // ToR vertex -> resource
-  for (const ScanItem& snapshot : routed) {
-    const NfcId id = snapshot.id;
+  for (NfcId id : sorted_chain_ids()) {
+    const auto links = chain_link_keys(id);
+    if (!links) continue;
     const ProvisionedChain& chain = chains_.at(id);
     AllocChain ac;
     ac.id = id;
     ac.cls = chain.record.spec.priority;
     ac.demand_gbps = chain.record.spec.bandwidth_gbps;
     std::vector<std::pair<std::uint32_t, double>> tor_uses;
-    for (std::uint64_t k : snapshot.links) {
+    for (std::uint64_t k : *links) {
       const auto u = static_cast<std::size_t>(k >> 32);
       const auto v = static_cast<std::size_t>(k & 0xffffffffULL);
       const auto [lit, fresh] =
@@ -1065,60 +1004,6 @@ std::vector<NfcId> NetworkOrchestrator::sorted_chain_ids() const {
   return ids;
 }
 
-void NetworkOrchestrator::set_sharding(std::size_t shard_count, alvc::util::Executor* executor) {
-  if (agent_ != nullptr) {
-    // Fold the shards back first so a re-shard migrates pending retries.
-    retry_queue_ = agent_->drain_retries();
-    agent_.reset();
-    route_cache_.clear();
-  }
-  if (shard_count == 0) return;
-  agent_ = std::make_unique<ControlAgent>(clusters_->topology(), shard_count, executor);
-  route_cache_.clear();  // per-shard caches own routing now; start them cold
-  for (NfcId id : sorted_chain_ids()) {
-    agent_->register_chain(id, chains_.at(id).cluster);
-  }
-  std::sort(retry_queue_.begin(), retry_queue_.end(),
-            [](const RetryEntry& a, const RetryEntry& b) { return a.id < b.id; });
-  for (const RetryEntry& entry : retry_queue_) {
-    const auto it = chains_.find(entry.id);
-    if (it == chains_.end()) continue;  // dead chain: the next drain would drop it anyway
-    agent_->enqueue_retry(entry, it->second.cluster);
-  }
-  retry_queue_.clear();
-}
-
-std::vector<const RouteCache*> NetworkOrchestrator::route_caches() const {
-  std::vector<const RouteCache*> out;
-  if (agent_ == nullptr) {
-    out.push_back(&route_cache_);
-    return out;
-  }
-  out.reserve(agent_->shard_count());
-  for (std::size_t s = 0; s < agent_->shard_count(); ++s) {
-    out.push_back(&agent_->shard(s).cache());
-  }
-  return out;
-}
-
-RouteCacheStats NetworkOrchestrator::aggregate_route_cache_stats() const {
-  RouteCacheStats total;
-  for (const RouteCache* cache : route_caches()) {
-    const RouteCacheStats& s = cache->stats();
-    total.hits += s.hits;
-    total.revalidations += s.revalidations;
-    total.misses += s.misses;
-    total.stale_evictions += s.stale_evictions;
-    total.bypasses += s.bypasses;
-    total.invalidations += s.invalidations;
-  }
-  return total;
-}
-
-std::size_t NetworkOrchestrator::retry_queue_size() const noexcept {
-  return agent_ != nullptr ? agent_->retry_count() : retry_queue_.size();
-}
-
 std::size_t NetworkOrchestrator::degraded_chain_count() const noexcept {
   std::size_t n = 0;
   for (const auto& [id, chain] : chains_) {
@@ -1140,7 +1025,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_failure(alvc::util::OpsId 
   std::vector<alvc::util::ClusterId> touched;
   const auto repair = clusters_->handle_ops_failure(ops, &touched);
   if (repair.has_value()) log_.append(sdn::ControlEventType::kAlRepaired, ops.value());
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1158,7 +1043,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_failure(alvc::util::TorId 
   if (repair.has_value()) {
     log_.append(sdn::ControlEventType::kAlRepaired, tor.value(), "after ToR failure");
   }
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1176,7 +1061,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_server_failure(alvc::util::Ser
   // Server events change no AL; the blast radius is the clusters whose
   // slice contains the box (see server_blast_radius).
   const std::vector<alvc::util::ClusterId> touched = server_blast_radius(server);
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1199,7 +1084,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_failure(alvc::util::TorId
   ALVC_IGNORE_STATUS(clusters_->handle_link_failure(tor, ops, &touched),
                      "an infeasible AL repair leaves the cluster degraded; sweep_chains "
                      "degrades the affected chains rather than aborting the handler");
-  const std::size_t repaired = sweep_chains(agent_ != nullptr ? &touched : nullptr);
+  const std::size_t repaired = sweep_chains(touched);
   rebalance_bandwidth();
   return repaired;
 }
@@ -1220,7 +1105,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_ops_recovery(alvc::util::OpsId
   // Outside the rebuilt (degraded) clusters a recovery only flips hardware
   // dead -> alive, which moves sweep verdicts toward kNone, so the rebuilt
   // clusters are the whole blast radius.
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "repairs of healthy chains are logged per chain; this call returns "
                      "only the count and the caller reports restorations instead");
   const std::size_t restored = drain_retry_queue();
@@ -1239,7 +1124,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_tor_recovery(alvc::util::TorId
   std::vector<alvc::util::ClusterId> touched;
   ALVC_IGNORE_STATUS(clusters_->handle_tor_recovery(tor, repair_builder_, &touched),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();
@@ -1257,7 +1142,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_server_recovery(alvc::util::Se
   ALVC_IGNORE_STATUS(clusters_->handle_server_recovery(server),
                      "ids were validated above; a server recovery cannot fail an AL");
   const std::vector<alvc::util::ClusterId> touched = server_blast_radius(server);
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();
@@ -1277,7 +1162,7 @@ Expected<std::size_t> NetworkOrchestrator::handle_link_recovery(alvc::util::TorI
   std::vector<alvc::util::ClusterId> touched;
   ALVC_IGNORE_STATUS(clusters_->handle_link_recovery(tor, ops, repair_builder_, &touched),
                      "a failed cluster rebuild leaves it degraded; recovery proceeds anyway");
-  ALVC_IGNORE_STATUS(sweep_chains(agent_ != nullptr ? &touched : nullptr),
+  ALVC_IGNORE_STATUS(sweep_chains(touched),
                      "settle healthy chains first; restorations are returned");
   const std::size_t restored = drain_retry_queue();
   rebalance_bandwidth();

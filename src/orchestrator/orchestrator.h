@@ -16,7 +16,6 @@
 //   SdnController   — flow-rule installation                (§IV-B)
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -26,17 +25,16 @@
 #include "nfv/catalog.h"
 #include "nfv/nfc.h"
 #include "orchestrator/admission.h"
-#include "orchestrator/control_agent.h"
 #include "orchestrator/bandwidth.h"
 #include "orchestrator/bandwidth_allocator.h"
 #include "orchestrator/oeo.h"
 #include "orchestrator/placement.h"
-#include "orchestrator/route_cache.h"
 #include "orchestrator/routing.h"
 #include "orchestrator/slice.h"
 #include "sdn/cloud_manager.h"
 #include "sdn/controller.h"
 #include "sdn/events.h"
+#include "util/executor.h"
 
 namespace alvc::orchestrator {
 
@@ -109,42 +107,6 @@ class NetworkOrchestrator {
     load_balanced_routing_ = enabled;
     routing_k_ = k;
   }
-
-  /// Toggles the epoch-versioned route cache on the shortest-path hot path
-  /// (provision, refit, migration). On by default; the differential suite
-  /// flips it off to prove cached and uncached routing are bit-identical.
-  /// Load-balanced routes never use the cache (they depend on the live
-  /// bandwidth ledger, not just the slice subgraph).
-  void set_route_cache_enabled(bool enabled) noexcept { route_cache_enabled_ = enabled; }
-  [[nodiscard]] bool route_cache_enabled() const noexcept { return route_cache_enabled_; }
-  [[nodiscard]] const RouteCache& route_cache() const noexcept { return route_cache_; }
-  [[nodiscard]] RouteCache& route_cache() noexcept { return route_cache_; }
-
-  /// Splits the control plane into `shard_count` cluster-agent shards
-  /// (DESIGN.md §13): chains partition by backing cluster, and each shard
-  /// owns its slice of the route cache, retry queue, and rebalance
-  /// snapshot state. Read-only passes (sweep classification, rebalance
-  /// snapshots, retry bookkeeping) fan out across shards on `executor`
-  /// (serial when null); all mutations stay on the calling thread, applied
-  /// in ascending chain-id order, so every observable result is
-  /// byte-identical to the serial control plane at any shard count.
-  /// `shard_count == 0` returns to the serial path (pending retries move
-  /// back to the global queue). Live chains and queued retries migrate on
-  /// every transition; route caches restart cold. The executor must
-  /// outlive the orchestrator (or the next set_sharding call).
-  void set_sharding(std::size_t shard_count, alvc::util::Executor* executor = nullptr);
-  [[nodiscard]] bool sharded() const noexcept { return agent_ != nullptr; }
-  /// Shards configured (0 = serial control plane).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return agent_ == nullptr ? 0 : agent_->shard_count();
-  }
-  [[nodiscard]] const ControlAgent* agent() const noexcept { return agent_.get(); }
-  /// Every live route cache: the global one when serial, one per shard when
-  /// sharded. For audits (StateAuditor checks coherence of each).
-  [[nodiscard]] std::vector<const RouteCache*> route_caches() const;
-  /// Cache counters summed over route_caches() — shard-count invariant,
-  /// which the differential suite asserts.
-  [[nodiscard]] RouteCacheStats aggregate_route_cache_stats() const;
 
   /// Selects the bandwidth allocation policy. kStrictLadder (default)
   /// preserves the legacy behavior bit-for-bit: admission hard-rejects,
@@ -238,7 +200,16 @@ class NetworkOrchestrator {
   /// Chains currently in degraded mode.
   [[nodiscard]] std::size_t degraded_chain_count() const noexcept;
   /// Degraded chains awaiting a retry (subset of degraded: bounded retries).
-  [[nodiscard]] std::size_t retry_queue_size() const noexcept;
+  [[nodiscard]] std::size_t retry_queue_size() const noexcept { return retry_queue_.size(); }
+
+  /// Live chains the sweep would still act on (classify to anything but
+  /// kNone), ascending id. The control plane's quiescence check: every
+  /// handler's scoped sweep settles what the event disturbed, so this is
+  /// empty after every fault or recovery event (DESIGN.md §13). A direct
+  /// ClusterManager call that reshapes an AL may leave chains pending until
+  /// the next event's sweep. Classifies every chain — for tests and audits,
+  /// not the event path.
+  [[nodiscard]] std::vector<NfcId> chains_needing_sweep() const;
 
   [[nodiscard]] const ProvisionedChain* chain(NfcId id) const;
   [[nodiscard]] std::vector<const ProvisionedChain*> chains() const;
@@ -266,15 +237,9 @@ class NetworkOrchestrator {
   const alvc::cluster::VirtualCluster* cluster_for_service(alvc::util::ServiceId service) const;
 
   /// Linear-chain route ingress -> hosts -> egress with the cluster's
-  /// default anchors, served from the route cache when enabled (identical
-  /// to the plain router by construction — see route_cache.h).
+  /// default anchors.
   [[nodiscard]] alvc::util::Expected<ChainRoute> route_linear(
-      const alvc::cluster::VirtualCluster& vc, std::span<const alvc::nfv::HostRef> hosts,
-      alvc::nfv::PriorityClass cls);
-
-  /// Cache serving `cluster`'s routes: the shard's when sharded, the
-  /// global one otherwise.
-  [[nodiscard]] RouteCache& active_route_cache(alvc::util::ClusterId cluster);
+      const alvc::cluster::VirtualCluster& vc, std::span<const alvc::nfv::HostRef> hosts) const;
 
   [[nodiscard]] bool host_usable(const alvc::nfv::HostRef& host) const;
   [[nodiscard]] bool host_in_slice(const alvc::nfv::HostRef& host,
@@ -293,7 +258,8 @@ class NetworkOrchestrator {
   [[nodiscard]] bool degraded_chain_disturbed(const ProvisionedChain& chain,
                                               const alvc::cluster::VirtualCluster* vc) const;
   /// Removes the chain from the data plane: rules out, bandwidth released,
-  /// route cleared, instances on unusable hosts terminated (slots invalid).
+  /// route cleared, instances on unusable or out-of-slice hosts terminated
+  /// (slots invalid).
   void park_chain(ProvisionedChain& chain);
   /// Re-fits a parked chain: re-places invalid/bad instances inside the
   /// slice, re-routes, re-programs, and reserves bandwidth at the largest
@@ -306,9 +272,8 @@ class NetworkOrchestrator {
   /// What the sweep decided for one chain. Classification reads only
   /// topology failure state, AL membership, and the chain's own record —
   /// never the cloud pool, bandwidth ledger, or controller state that
-  /// applying another chain's verdict mutates — so pre-classifying every
-  /// chain (shard-parallel) and applying in ascending id order is
-  /// byte-identical to the legacy classify-as-you-go loop.
+  /// applying another chain's verdict mutates — so applying one chain's
+  /// verdict never changes another chain's.
   enum class SweepVerdict : int {
     kNone = 0,
     kRefitDegraded = 1,  // disturbed degraded chain: best-effort re-fit
@@ -320,15 +285,14 @@ class NetworkOrchestrator {
   /// when the chain is gone or unrouted. Sorted, deduplicated.
   [[nodiscard]] std::optional<std::vector<std::uint64_t>> chain_link_keys(NfcId id) const;
 
-  /// Refit-or-degrade pass; returns full-bandwidth repairs. With a null
-  /// `scope` every chain is considered. A non-null scope (the fault's blast
-  /// radius: every cluster whose AL the event examined) lets the sharded
-  /// path walk only those clusters' membership indexes — sound because a
-  /// chain outside the blast radius classifies kNone (each sweep settles
-  /// all disturbances, so only the current event can create new work), and
-  /// kNone verdicts are no-ops. The serial path always walks every chain;
-  /// it is the reference the sharded differential compares against.
-  std::size_t sweep_chains(const std::vector<alvc::util::ClusterId>* scope = nullptr);
+  /// Refit-or-degrade pass over the event's blast radius `scope` (every
+  /// cluster whose AL the event examined) plus every cluster whose AL was
+  /// reshaped since the last sweep (ClusterManager::take_reshaped_clusters);
+  /// returns full-bandwidth repairs. Visits each chain of those clusters
+  /// once, in ascending id order. Sound because any other chain classifies
+  /// kNone: each sweep settles every disturbance, so only the current event
+  /// and the reshaped ALs can create new work, and kNone verdicts are no-ops.
+  std::size_t sweep_chains(std::span<const alvc::util::ClusterId> scope);
   /// Clusters whose AL contains `server`'s primary ToR — the blast radius
   /// of a server event (server events never change an AL). Containment,
   /// not VM ownership: placement may use any server under the slice's
@@ -341,6 +305,13 @@ class NetworkOrchestrator {
   void enqueue_retry(NfcId id);
   [[nodiscard]] std::vector<NfcId> sorted_chain_ids() const;
 
+  /// One degraded chain waiting for another restoration attempt.
+  struct RetryEntry {
+    NfcId id;
+    std::size_t attempts = 0;
+    std::uint64_t not_before = 0;  // earliest recovery epoch for the next try
+  };
+
   alvc::cluster::ClusterManager* clusters_;
   const alvc::nfv::VnfCatalog* catalog_;
   sdn::CloudNfvManager cloud_;
@@ -350,21 +321,18 @@ class NetworkOrchestrator {
   BandwidthLedger bandwidth_;
   BandwidthAllocator allocator_;
   ChainRouter router_;
-  RouteCache route_cache_;
   std::unordered_map<NfcId, ProvisionedChain> chains_;
+  /// Live chains per backing cluster, each list ascending: the index
+  /// sweep_chains walks to reach a blast radius's chains.
+  std::unordered_map<alvc::util::ClusterId, std::vector<NfcId>> chains_by_cluster_;
   sdn::ControlPlaneLog log_;
   OrchestratorStats stats_;
   /// Builder used for AL repairs after ToR failures and on recoveries.
   alvc::cluster::VertexCoverAlBuilder repair_builder_;
-  /// Sharded cluster-agent layer; null = serial control plane. When set,
-  /// per-chain state (route cache entries, retry segments) lives in the
-  /// agent's shards and retry_queue_ stays empty.
-  std::unique_ptr<ControlAgent> agent_;
   std::vector<RetryEntry> retry_queue_;
   std::uint64_t recovery_epoch_ = 0;  // counts recovery events (backoff clock)
   NfcId::value_type next_id_ = 0;
   bool load_balanced_routing_ = false;
-  bool route_cache_enabled_ = true;
   std::size_t routing_k_ = 4;
 };
 

@@ -163,33 +163,19 @@ Expected<ChainRoute> ChainRouter::route_graph(const alvc::cluster::VirtualCluste
     return Error{ErrorCode::kInvalidArgument, "node_hosts size != graph node count"};
   }
   if (auto status = graph.validate(); !status.is_ok()) return status.error();
-  std::vector<std::size_t> extras;
-  extras.reserve(node_hosts.size() + 2);
-  for (const HostRef& host : node_hosts) extras.push_back(attach_vertex(host));
-  extras.push_back(topo_->tor_vertex(ingress));
-  extras.push_back(topo_->tor_vertex(egress));
-  alvc::graph::VertexSet allowed;
-  slice_vertices(*topo_, cluster, extras, allowed);
-  return route_graph_via(cluster, ingress, egress, graph, node_hosts,
-                         [&](std::size_t from, std::size_t to, std::size_t leg_index) {
-                           return route_leg(*topo_, allowed, from, to, leg_index);
-                         });
-}
-
-Expected<ChainRoute> ChainRouter::route_graph_via(const alvc::cluster::VirtualCluster& cluster,
-                                                  TorId ingress, TorId egress,
-                                                  const alvc::nfv::ForwardingGraph& graph,
-                                                  std::span<const HostRef> node_hosts,
-                                                  const RouteLegSource& legs) const {
-  if (node_hosts.size() != graph.node_count()) {
-    return Error{ErrorCode::kInvalidArgument, "node_hosts size != graph node count"};
-  }
-  if (auto status = graph.validate(); !status.is_ok()) return status.error();
 
   std::vector<std::size_t> attach(node_hosts.size());
   for (std::size_t i = 0; i < node_hosts.size(); ++i) attach[i] = attach_vertex(node_hosts[i]);
   const std::size_t ingress_v = topo_->tor_vertex(ingress);
   const std::size_t egress_v = topo_->tor_vertex(egress);
+  std::vector<std::size_t> extras = attach;
+  extras.push_back(ingress_v);
+  extras.push_back(egress_v);
+  alvc::graph::VertexSet allowed;
+  slice_vertices(*topo_, cluster, extras, allowed);
+  const auto legs = [&](std::size_t from, std::size_t to, std::size_t leg_index) {
+    return route_leg(*topo_, allowed, from, to, leg_index);
+  };
 
   ChainRoute route;
   std::size_t leg_index = 0;

@@ -42,14 +42,14 @@ struct ChainRoute {
 
 /// Supplies one leg of a chain route: the slice-internal path `from` ->
 /// `to` for leg number `leg_index`. ChainRouter's default source runs a
-/// filtered BFS; the route cache wraps the same BFS behind a memo so both
-/// paths share every other step of route assembly (stop construction,
-/// junction dedup, hop tallies) and stay bit-identical by construction.
+/// filtered BFS; an alternative source (a test oracle) shares every other
+/// step of route assembly (stop construction, junction dedup, hop tallies),
+/// so any difference in the result is a difference in the legs.
 using RouteLegSource = std::function<alvc::util::Expected<std::vector<std::size_t>>(
     std::size_t from, std::size_t to, std::size_t leg_index)>;
 
-/// The BFS primitives route() is built from, exposed so the route cache's
-/// miss path runs EXACTLY the computation it memoizes.
+/// The BFS primitives route() is built from, exposed so a leg source can
+/// run EXACTLY the computation route() runs.
 namespace routing_detail {
 
 /// Vertices a chain of `cluster` may traverse, plus any explicit extras,
@@ -104,12 +104,6 @@ class ChainRouter {
       const alvc::cluster::VirtualCluster& cluster, TorId ingress, TorId egress,
       const alvc::nfv::ForwardingGraph& graph,
       std::span<const alvc::nfv::HostRef> node_hosts) const;
-
-  /// route_graph() with the per-leg computation delegated to `legs`.
-  [[nodiscard]] Expected<ChainRoute> route_graph_via(
-      const alvc::cluster::VirtualCluster& cluster, TorId ingress, TorId egress,
-      const alvc::nfv::ForwardingGraph& graph, std::span<const alvc::nfv::HostRef> node_hosts,
-      const RouteLegSource& legs) const;
 
   /// Switch-graph vertex where a host attaches (server -> its rack ToR,
   /// optoelectronic router -> its OPS vertex).

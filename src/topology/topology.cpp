@@ -59,7 +59,6 @@ ServerId DataCenterTopology::add_server(TorId tor, const Resources& capacity) {
   const ServerId id{static_cast<ServerId::value_type>(servers_.size())};
   servers_.push_back(Server{.id = id, .tor = tor, .capacity = capacity});
   t.servers.push_back(id);
-  bump_mutation_epoch();
   return id;
 }
 
@@ -68,7 +67,6 @@ VmId DataCenterTopology::add_vm(ServerId server, ServiceId service, const Resour
   const VmId id{static_cast<VmId::value_type>(vms_.size())};
   vms_.push_back(Vm{.id = id, .server = server, .service = service, .demand = demand});
   s.vms.push_back(id);
-  bump_mutation_epoch();
   return id;
 }
 
@@ -111,7 +109,6 @@ void DataCenterTopology::add_server_homing(ServerId server, TorId tor) {
     return;
   }
   s.secondary_tors.push_back(tor);
-  bump_mutation_epoch();
 }
 
 std::size_t DataCenterTopology::service_count() const {
@@ -139,7 +136,6 @@ void DataCenterTopology::move_vm(VmId vm, ServerId new_server) {
   std::erase(src.vms, vm);
   dst.vms.push_back(vm);
   v.server = new_server;
-  bump_mutation_epoch();
 }
 
 alvc::util::Status DataCenterTopology::set_ops_failed(OpsId ops, bool failed) {
@@ -168,9 +164,7 @@ alvc::util::Status DataCenterTopology::set_server_failed(ServerId server, bool f
                              "set_server_failed: bad server id " + std::to_string(server.value())};
   }
   servers_[server.index()].failed = failed;
-  // Servers are not switch-graph vertices; the cache survives. The epoch
-  // still moves: host usability feeds refit decisions built on it.
-  bump_mutation_epoch();
+  // Servers are not switch-graph vertices; the cache survives.
   return alvc::util::Status::ok();
 }
 

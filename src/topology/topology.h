@@ -151,40 +151,14 @@ class DataCenterTopology {
   /// Bipartite ToR->OPS graph over all ToRs and OPSs.
   [[nodiscard]] alvc::graph::BipartiteGraph tor_ops_graph() const;
 
-  // ---- mutation epoch ----
-  //
-  // A monotone counter bumped by every mutator (element adds, VM moves,
-  // failure flags, link cuts, assignment). Derived-state caches (the
-  // orchestrator's route cache) compare epochs instead of flushing: an
-  // unchanged epoch proves the topology — and, via bump_mutation_epoch,
-  // the abstraction layers built over it — has not moved since the cached
-  // value was validated.
-
-  /// Current mutation epoch (relaxed; the orchestrator is externally
-  /// synchronized, the atomic only keeps concurrent const readers defined).
-  [[nodiscard]] std::uint64_t mutation_epoch() const noexcept {
-    return mutation_epoch_.load(std::memory_order_relaxed);
-  }
-  /// Advances the epoch. Public so owners of routing-relevant DERIVED
-  /// state (ClusterManager, whose AL membership changes alter slice
-  /// subgraphs without touching any topology element) can invalidate
-  /// epoch-versioned caches the same way a topology mutation does.
-  void bump_mutation_epoch() noexcept {
-    mutation_epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   /// Builds the switch graph under the cache mutex and publishes it via the
   /// valid flag (release). Idempotent; racing callers serialise here.
   void warm_switch_graph() const ALVC_EXCLUDES(switch_graph_mutex_);
 
-  /// Drops the lazy switch-graph cache AND advances the mutation epoch:
-  /// everything that invalidates the graph also invalidates epoch-keyed
-  /// derived caches. Mutators that do not touch the switch graph (server
-  /// state, VM moves) bump the epoch directly instead.
+  /// Drops the lazy switch-graph cache; the next switch_graph() rebuilds it.
   void invalidate_cache() noexcept {
     switch_graph_valid_.store(false, std::memory_order_release);
-    bump_mutation_epoch();
   }
   [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
     return (static_cast<std::uint64_t>(tor.value()) << 32) | ops.value();
@@ -199,7 +173,6 @@ class DataCenterTopology {
   mutable std::mutex switch_graph_mutex_;
   mutable alvc::graph::Graph switch_graph_ ALVC_GUARDED_BY(switch_graph_mutex_);
   mutable std::atomic<bool> switch_graph_valid_{false};
-  std::atomic<std::uint64_t> mutation_epoch_{0};
 };
 
 }  // namespace alvc::topology

@@ -83,6 +83,9 @@ TEST_P(SoakTest, HundredsOfMixedOperationsKeepEveryInvariant) {
         ALVC_IGNORE_STATUS(dc.orchestrator().handle_ops_failure(victim),
                            "soak: recovery quality is judged by the invariant sweep");
         ++failures_injected;
+        // The event's sweep also settles every AL the migrations and
+        // re-optimisations since the last event reshaped.
+        ASSERT_TRUE(dc.orchestrator().chains_needing_sweep().empty()) << "step " << step;
         // handle_ops_failure may tear chains down; resync our list.
         std::erase_if(live_chains, [&](util::NfcId id) {
           return dc.orchestrator().chain(id) == nullptr;

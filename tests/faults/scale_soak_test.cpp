@@ -1,19 +1,19 @@
-// Scale soak for the sharded control plane (DESIGN.md §13).
+// Scale soak for the scoped control plane (DESIGN.md §13).
 //
 // Two tiers:
-//   * MidScaleShardedSoakStaysClean — always on: a ~1.6k-VM, 400-cluster
-//     data center runs the chaos soak with an 8-shard control plane and a
-//     threaded executor; the full robustness contract (clean audits, no
-//     handler errors, no silent chain loss) must hold.
+//   * MidScaleSoakStaysClean — always on: a ~1.6k-VM, 400-cluster data
+//     center runs the chaos soak; the full robustness contract (clean
+//     audits, no handler errors, no silent chain loss) must hold, and the
+//     control plane must end quiescent.
 //   * MillionVmSmoke — gated by ALVC_SCALE_SOAK=1 (the CI scale-soak leg
 //     sets it): one million VMs across 12,500 racks, 100,000 server-local
 //     clusters with 100,000 provisioned chains (slices bind 1:1 to
 //     chains), mixed stochastic faults plus a scripted whole-rack outage,
-//     all under the sharded control plane.
+//     each event sweeping only its blast radius.
 //
 // Both builds use server_local_services (block service assignment) so each
 // cluster's AL stays rack-local — the layout that makes 10^4+ clusters
-// tractable — with ALVC_SHARDS overriding the default shard count.
+// tractable.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,20 +24,11 @@
 #include "faults/chaos.h"
 #include "support/fixtures.h"
 #include "util/error.h"
-#include "util/executor.h"
 
 namespace alvc::faults {
 namespace {
 
 using alvc::nfv::VnfType;
-
-std::size_t shard_count_from_env(std::size_t fallback) {
-  if (const char* env = std::getenv("ALVC_SHARDS"); env != nullptr) {
-    const unsigned long parsed = std::strtoul(env, nullptr, 10);
-    if (parsed > 0) return parsed;
-  }
-  return fallback;
-}
 
 struct ScaleShape {
   std::size_t racks = 100;
@@ -98,13 +89,12 @@ std::unique_ptr<core::DataCenter> make_scale_dc(const ScaleShape& shape,
   return dc;
 }
 
-TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
+TEST(ScaleSoakTest, MidScaleSoakStaysClean) {
   std::size_t provisioned = 0;
   auto dc = make_scale_dc(ScaleShape{}, &provisioned);
   EXPECT_EQ(provisioned, 400u) << "every rack-local chain should admit";
   ASSERT_GT(dc->orchestrator().chain_count(), 0u);
 
-  alvc::util::Executor exec(4);
   ChaosParams params;
   params.schedule.ops = {.mtbf_s = 1000, .mttr_s = 8};
   params.schedule.tor = {.mtbf_s = 2000, .mttr_s = 8};
@@ -114,8 +104,6 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   params.schedule.seed = 7;
   params.flow_rate_per_s = 5;
   params.traffic_seed = 11;
-  params.shards = shard_count_from_env(8);
-  params.shard_executor = &exec;
   // One guaranteed whole-rack outage so recovery work is never left to
   // stochastic luck.
   params.scripted = FaultInjector::whole_rack(dc->topology(), util::TorId{0}, 10.0, 15.0);
@@ -123,7 +111,6 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   ChaosRunner runner(dc->orchestrator(), params);
   const ChaosReport report = runner.run();
 
-  EXPECT_EQ(report.shard_count, params.shards);
   EXPECT_GT(report.fault_events, 10u);
   EXPECT_EQ(report.handler_errors, 0u);
   EXPECT_EQ(report.audit_violations, 0u)
@@ -131,20 +118,9 @@ TEST(ScaleSoakTest, MidScaleShardedSoakStaysClean) {
   EXPECT_EQ(report.chains_unaccounted, 0u) << "a chain was silently lost";
   EXPECT_TRUE(report.clean());
 
-  // The sharded agent actually did the sweeping: scan passes ran on every
-  // shard and chains were visited. Scoped sweeps walk only each fault's
-  // blast radius, so the visit total stays far below chains x events — that
-  // gap is the whole point of the scoped pass.
-  const auto* agent = dc->orchestrator().agent();
-  ASSERT_NE(agent, nullptr);
-  std::uint64_t scans = 0;
-  std::uint64_t visited = 0;
-  for (std::size_t s = 0; s < agent->shard_count(); ++s) {
-    scans += agent->shard(s).counters().scans;
-    visited += agent->shard(s).counters().chains_visited;
-  }
-  EXPECT_GT(scans, 0u);
-  EXPECT_GT(visited, 0u);
+  // Every scoped sweep settled its blast radius: no chain is left for a
+  // full sweep to find.
+  EXPECT_TRUE(dc->orchestrator().chains_needing_sweep().empty());
 }
 
 TEST(ScaleSoakTest, MillionVmSmoke) {
@@ -165,7 +141,6 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   EXPECT_EQ(provisioned, 100000u) << "every rack-local chain should admit";
   ASSERT_GE(dc->orchestrator().chain_count(), 100000u);
 
-  alvc::util::Executor exec(8);
   ChaosParams params;
   // ~40 stochastic events across the 160k-element fleet, plus a scripted
   // whole-rack outage that guarantees recovery work lands on real chains.
@@ -175,8 +150,6 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   params.schedule.link = {.mtbf_s = 240000, .mttr_s = 6};
   params.schedule.horizon_s = 30;
   params.schedule.seed = 3;
-  params.shards = shard_count_from_env(8);
-  params.shard_executor = &exec;
   // Per-event audits over 100k chains would dominate the run; the closing
   // audit still checks every invariant once.
   params.audit_every_event = false;
@@ -185,7 +158,6 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   ChaosRunner runner(dc->orchestrator(), params);
   const ChaosReport report = runner.run();
 
-  EXPECT_EQ(report.shard_count, params.shards);
   EXPECT_GT(report.failures_injected, 0u);
   EXPECT_EQ(report.handler_errors, 0u);
   EXPECT_EQ(report.audit_violations, 0u)
@@ -195,6 +167,7 @@ TEST(ScaleSoakTest, MillionVmSmoke) {
   EXPECT_GE(report.chains_live_healthy + report.chains_live_degraded +
                 dc->orchestrator().stats().chains_lost,
             100000u);
+  EXPECT_TRUE(dc->orchestrator().chains_needing_sweep().empty());
 }
 
 }  // namespace

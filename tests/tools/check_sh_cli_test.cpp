@@ -60,7 +60,7 @@ struct CliFixture : ::testing::Test {
     const fs::path path = dir / name;
     std::ofstream out(path);
     out << "{\n  \"schema\": \"alvc-bench-trajectory-v1\",\n  \"benchmarks\": [\n"
-        << "    {\"bench\": \"bench_route_cache\", \"name\": \"BM_Churn/0\",\n"
+        << "    {\"bench\": \"bench_control_plane\", \"name\": \"BM_MidScaleOpsCycle\",\n"
         << "     \"before_cpu_time_us\": null, \"after_cpu_time_us\": " << after_us
         << ", \"speedup\": null}\n  ]\n}\n";
     return path;
@@ -123,6 +123,21 @@ TEST_F(CliFixture, BenchGatePassesVacuouslyWithoutACommittedBaseline) {
                                   dir / "out.txt");
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_NE(result.output.find("vacuously"), std::string::npos);
+}
+
+TEST_F(CliFixture, BenchGatePicksTheHighestNumberedBaseline) {
+  // BENCH_PR10.json is the newer baseline, though "BENCH_PR9" sorts after
+  // it lexically. Against it (10us) a 20us run is a 2x regression; against
+  // BENCH_PR9.json (100us) it would pass.
+  write_trajectory("BENCH_PR9.json", 100.0);
+  write_trajectory("BENCH_PR10.json", 10.0);
+  const auto fresh = write_trajectory("fresh.json", 20.0);
+  const auto result = run_command("cd " + dir.string() + " && python3 " + ALVC_BENCH_GATE_PY +
+                                      " " + fresh.string(),
+                                  dir / "out.txt");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("BENCH_PR10.json"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("BENCH_PR9.json"), std::string::npos) << result.output;
 }
 
 TEST_F(CliFixture, BenchGateRejectsMalformedInput) {
