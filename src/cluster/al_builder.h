@@ -50,12 +50,11 @@ struct AlBuilderOptions {
 /// must only return OPSs that are free in `ownership` (the caller acquires
 /// them afterwards).
 ///
-/// Thread-safety contract: build() is const and must be callable from
-/// several threads at once on the same builder instance (the parallel
-/// batch path in ClusterManager does exactly that). Implementations keep
-/// no mutable per-call state — RandomAlBuilder, the only stochastic one,
+/// Determinism contract: build() is const and implementations keep no
+/// mutable per-call state — RandomAlBuilder, the only stochastic one,
 /// derives a fresh local Rng from its fixed seed and the group, so the
-/// result is a pure function of (topo, group, ownership).
+/// result is a pure function of (topo, group, ownership) and one builder
+/// instance can serve every group of a build.
 class AlBuilder {
  public:
   virtual ~AlBuilder() = default;

@@ -1,9 +1,6 @@
 #include "cluster/cluster_manager.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <memory>
 
 #include "cluster/service.h"
 #include "telemetry/telemetry.h"
@@ -60,31 +57,26 @@ Status ClusterManager::check_group_free(std::span<const VmId> group) const {
   return Status::ok();
 }
 
-Expected<ClusterId> ClusterManager::commit_built(ServiceId service, std::span<const VmId> group,
-                                                 AlBuildResult built) {
-  const ClusterId id{next_id_++};
-  if (auto status = ownership_.acquire(built.layer.opss, id); !status.is_ok()) {
-    return status.error();  // defensive: builder returned a non-free OPS
-  }
-  VirtualCluster vc{.id = id,
-                    .service = service,
-                    .vms = {group.begin(), group.end()},
-                    .layer = std::move(built.layer),
-                    .connected = built.connected};
-  clusters_.emplace(id, std::move(vc));
-  for (VmId vm : group) set_vm_owner(vm, id);
-  auto& peers = by_service_[service.value()];
-  peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
-  return id;
-}
-
 Expected<ClusterId> ClusterManager::create_cluster(ServiceId service, std::span<const VmId> group,
                                                    const AlBuilder& builder) {
   ALVC_SPAN(span, "cluster.create_cluster");
   if (auto status = check_group_free(group); !status.is_ok()) return status.error();
   auto built = builder.build(*topo_, group, ownership_);
   if (!built) return built.error();
-  return commit_built(service, group, std::move(*built));
+  const ClusterId id{next_id_++};
+  if (auto status = ownership_.acquire(built->layer.opss, id); !status.is_ok()) {
+    return status.error();  // defensive: builder returned a non-free OPS
+  }
+  VirtualCluster vc{.id = id,
+                    .service = service,
+                    .vms = {group.begin(), group.end()},
+                    .layer = std::move(built->layer),
+                    .connected = built->connected};
+  clusters_.emplace(id, std::move(vc));
+  for (VmId vm : group) set_vm_owner(vm, id);
+  auto& peers = by_service_[service.value()];
+  peers.insert(std::upper_bound(peers.begin(), peers.end(), id), id);
+  return id;
 }
 
 Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
@@ -97,94 +89,6 @@ Expected<std::vector<ClusterId>> ClusterManager::create_clusters_by_service(
     if (!id) return id.error();
     ids.push_back(*id);
   }
-  return ids;
-}
-
-Expected<std::vector<ClusterId>> ClusterManager::build_all_clusters(const AlBuilder& builder,
-                                                                    alvc::util::Executor* executor,
-                                                                    BatchBuildStats* stats) {
-  ALVC_SPAN(span, "cluster.build_all_clusters");
-  const auto groups = group_vms_by_service(*topo_);
-  BatchBuildStats local;
-  for (const auto& group : groups) {
-    if (!group.empty()) ++local.groups;
-  }
-  ALVC_COUNT_N("cluster.build.groups", local.groups);
-
-  if (executor == nullptr) {
-    local.serial_rebuilds = local.groups;
-    ALVC_COUNT_N("cluster.build.serial_rebuilds", local.serial_rebuilds);
-    if (stats != nullptr) *stats += local;
-    return create_clusters_by_service(builder);
-  }
-
-  // Speculative phase: every group builds against the same ownership
-  // snapshot, recording which cells it read.
-  struct Speculation {
-    std::optional<Expected<AlBuildResult>> result;
-    alvc::util::DynamicBitset reads;
-  };
-  const OpsOwnership snapshot = ownership_;
-  std::vector<Speculation> spec(groups.size());
-  // Each worker thread refreshes one thread-local copy of the snapshot per
-  // batch instead of copying it per task: the builder only reads ownership
-  // (the copy exists so each task can attach its own read log), and a
-  // per-task copy is O(groups x pool) — tens of gigabytes of memcpy for a
-  // 100k-group build over a 100k-OPS pool.
-  static std::atomic<std::uint64_t> batch_counter{0};
-  const std::uint64_t batch = ++batch_counter;
-  auto tasks = executor->new_task_group();
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    tasks->submit([&, s, batch] {
-      thread_local std::uint64_t view_batch = 0;
-      thread_local std::unique_ptr<OpsOwnership> view;
-      if (view_batch != batch) {
-        view = std::make_unique<OpsOwnership>(snapshot);
-        view_batch = batch;
-      }
-      spec[s].reads = alvc::util::DynamicBitset(view->ops_count());
-      view->set_read_log(&spec[s].reads);
-      spec[s].result.emplace(builder.build(*topo_, groups[s], *view));
-      view->set_read_log(nullptr);
-    });
-  }
-  tasks->wait_all();
-
-  // Commit phase, ascending group id (the serial order). `dirty` holds
-  // every ownership cell changed since the snapshot; a speculative result
-  // whose read set avoids it is provably what the serial pass would have
-  // produced.
-  alvc::util::DynamicBitset dirty(ownership_.ops_count());
-  std::vector<ClusterId> ids;
-  for (std::size_t s = 0; s < groups.size(); ++s) {
-    if (groups[s].empty()) continue;
-    const ServiceId service{static_cast<ServiceId::value_type>(s)};
-    if (auto status = check_group_free(groups[s]); !status.is_ok()) {
-      if (stats != nullptr) *stats += local;
-      return status.error();
-    }
-    Expected<ClusterId> id = [&]() -> Expected<ClusterId> {
-      if (!spec[s].reads.empty() && !spec[s].reads.intersects(dirty)) {
-        ++local.parallel_commits;
-        if (!*spec[s].result) return spec[s].result->error();
-        return commit_built(service, groups[s], std::move(**spec[s].result));
-      }
-      ++local.serial_rebuilds;
-      auto built = builder.build(*topo_, groups[s], ownership_);
-      if (!built) return built.error();
-      return commit_built(service, groups[s], std::move(*built));
-    }();
-    if (!id) {
-      if (stats != nullptr) *stats += local;
-      return id.error();
-    }
-    for (OpsId o : find(*id)->layer.opss) dirty.set(o.index());
-    ids.push_back(*id);
-  }
-  ALVC_COUNT_N("cluster.build.parallel_commits", local.parallel_commits);
-  ALVC_COUNT_N("cluster.build.serial_rebuilds", local.serial_rebuilds);
-  if (stats != nullptr) *stats += local;
   return ids;
 }
 
@@ -291,49 +195,6 @@ Expected<UpdateCost> ClusterManager::migrate_vm(ClusterId id, VmId vm, ServerId 
   return cost;
 }
 
-Expected<UpdateCost> ClusterManager::apply_reoptimized(VirtualCluster& vc, AlBuildResult rebuilt) {
-  if (rebuilt.layer.opss.size() >= vc.layer.opss.size()) {
-    return UpdateCost{};  // no improvement: keep the incumbent AL
-  }
-  UpdateCost cost;
-  // Rules: remove what leaves, add what arrives (symmetric difference).
-  for (alvc::util::OpsId o : vc.layer.opss) {
-    if (!rebuilt.layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (alvc::util::OpsId o : rebuilt.layer.opss) {
-    if (!vc.layer.contains_ops(o)) {
-      cost.ops_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : vc.layer.tors) {
-    if (!rebuilt.layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  for (TorId t : rebuilt.layer.tors) {
-    if (!vc.layer.contains_tor(t)) {
-      cost.tor_changes += 1;
-      cost.flow_rules += 1;
-    }
-  }
-  ownership_.release_all(vc.id);
-  if (auto status = ownership_.acquire(rebuilt.layer.opss, vc.id); !status.is_ok()) {
-    // Should not happen (scratch proved feasibility); restore the old AL.
-    ALVC_IGNORE_STATUS(ownership_.acquire(vc.layer.opss, vc.id),
-                       "restoring the AL we just released; those OPSs are still free");
-    return status.error();
-  }
-  vc.layer = std::move(rebuilt.layer);
-  vc.connected = rebuilt.connected;
-  note_reshaped(vc.id);
-  return cost;
-}
-
 Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBuilder& builder) {
   VirtualCluster* vc = find_mutable(id);
   if (vc == nullptr) return Error{ErrorCode::kNotFound, "no cluster " + std::to_string(id.value())};
@@ -345,102 +206,46 @@ Expected<UpdateCost> ClusterManager::reoptimize_cluster(ClusterId id, const AlBu
   scratch.release_all(id);
   auto rebuilt = builder.build(*topo_, vc->vms, scratch);
   if (!rebuilt) return rebuilt.error();
-  return apply_reoptimized(*vc, std::move(*rebuilt));
-}
-
-Expected<std::vector<UpdateCost>> ClusterManager::reoptimize_clusters(
-    std::span<const ClusterId> ids, const AlBuilder& builder, alvc::util::Executor* executor,
-    BatchBuildStats* stats) {
-  ALVC_SPAN(span, "cluster.reoptimize_clusters");
-  BatchBuildStats local;
-  local.groups = ids.size();
-  ALVC_COUNT_N("cluster.reoptimize.groups", local.groups);
-
-  if (executor == nullptr) {
-    local.serial_rebuilds = ids.size();
-    ALVC_COUNT_N("cluster.reoptimize.serial_rebuilds", local.serial_rebuilds);
-    std::vector<UpdateCost> costs;
-    costs.reserve(ids.size());
-    for (ClusterId id : ids) {
-      auto cost = reoptimize_cluster(id, builder);
-      if (!cost) {
-        if (stats != nullptr) *stats += local;
-        return cost.error();
-      }
-      costs.push_back(*cost);
-    }
-    if (stats != nullptr) *stats += local;
-    return costs;
+  if (rebuilt->layer.opss.size() >= vc->layer.opss.size()) {
+    return UpdateCost{};  // no improvement: keep the incumbent AL
   }
-
-  // Speculative phase: each cluster rebuilds against the snapshot with its
-  // own OPSs released (so it may keep them), recording its reads.
-  struct Speculation {
-    std::optional<Expected<AlBuildResult>> result;
-    alvc::util::DynamicBitset reads;
-    bool attempted = false;
-  };
-  const OpsOwnership snapshot = ownership_;
-  std::vector<Speculation> spec(ids.size());
-  auto tasks = executor->new_task_group();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const VirtualCluster* vc = find(ids[i]);
-    if (vc == nullptr || vc->vms.empty()) continue;  // commit loop handles both
-    spec[i].attempted = true;
-    tasks->submit([&, i, vc] {
-      OpsOwnership local_view = snapshot;
-      local_view.release_all(vc->id);
-      spec[i].reads = alvc::util::DynamicBitset(local_view.ops_count());
-      local_view.set_read_log(&spec[i].reads);
-      spec[i].result.emplace(builder.build(*topo_, vc->vms, local_view));
-    });
+  UpdateCost cost;
+  // Rules: remove what leaves, add what arrives (symmetric difference).
+  for (alvc::util::OpsId o : vc->layer.opss) {
+    if (!rebuilt->layer.contains_ops(o)) {
+      cost.ops_changes += 1;
+      cost.flow_rules += 1;
+    }
   }
-  tasks->wait_all();
-
-  // Commit phase in input order. A commit both releases this cluster's old
-  // OPSs and acquires the new ones; either kind of change invalidates any
-  // later speculation that read those cells.
-  alvc::util::DynamicBitset dirty(ownership_.ops_count());
-  std::vector<UpdateCost> costs;
-  costs.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto fail = [&](const Error& error) -> Expected<std::vector<UpdateCost>> {
-      if (stats != nullptr) *stats += local;
-      return error;
-    };
-    VirtualCluster* vc = find_mutable(ids[i]);
-    if (vc == nullptr) {
-      return fail(Error{ErrorCode::kNotFound, "no cluster " + std::to_string(ids[i].value())});
+  for (alvc::util::OpsId o : rebuilt->layer.opss) {
+    if (!vc->layer.contains_ops(o)) {
+      cost.ops_changes += 1;
+      cost.flow_rules += 1;
     }
-    if (vc->vms.empty()) {
-      costs.push_back(UpdateCost{});
-      continue;
-    }
-    const std::vector<alvc::util::OpsId> old_opss = vc->layer.opss;
-    Expected<UpdateCost> cost = [&]() -> Expected<UpdateCost> {
-      if (spec[i].attempted && !spec[i].reads.empty() && !spec[i].reads.intersects(dirty)) {
-        ++local.parallel_commits;
-        if (!*spec[i].result) return spec[i].result->error();
-        return apply_reoptimized(*vc, std::move(**spec[i].result));
-      }
-      ++local.serial_rebuilds;
-      OpsOwnership scratch = ownership_;
-      scratch.release_all(vc->id);
-      auto rebuilt = builder.build(*topo_, vc->vms, scratch);
-      if (!rebuilt) return rebuilt.error();
-      return apply_reoptimized(*vc, std::move(*rebuilt));
-    }();
-    if (!cost) return fail(cost.error());
-    if (cost->total() > 0) {  // the AL was swapped: both sides changed cells
-      for (alvc::util::OpsId o : old_opss) dirty.set(o.index());
-      for (alvc::util::OpsId o : vc->layer.opss) dirty.set(o.index());
-    }
-    costs.push_back(*cost);
   }
-  ALVC_COUNT_N("cluster.reoptimize.parallel_commits", local.parallel_commits);
-  ALVC_COUNT_N("cluster.reoptimize.serial_rebuilds", local.serial_rebuilds);
-  if (stats != nullptr) *stats += local;
-  return costs;
+  for (TorId t : vc->layer.tors) {
+    if (!rebuilt->layer.contains_tor(t)) {
+      cost.tor_changes += 1;
+      cost.flow_rules += 1;
+    }
+  }
+  for (TorId t : rebuilt->layer.tors) {
+    if (!vc->layer.contains_tor(t)) {
+      cost.tor_changes += 1;
+      cost.flow_rules += 1;
+    }
+  }
+  ownership_.release_all(vc->id);
+  if (auto status = ownership_.acquire(rebuilt->layer.opss, vc->id); !status.is_ok()) {
+    // Should not happen (scratch proved feasibility); restore the old AL.
+    ALVC_IGNORE_STATUS(ownership_.acquire(vc->layer.opss, vc->id),
+                       "restoring the AL we just released; those OPSs are still free");
+    return status.error();
+  }
+  vc->layer = std::move(rebuilt->layer);
+  vc->connected = rebuilt->connected;
+  note_reshaped(vc->id);
+  return cost;
 }
 
 Expected<UpdateCost> ClusterManager::handle_ops_failure(alvc::util::OpsId ops,

@@ -16,9 +16,10 @@
 
 namespace alvc::faults {
 
-/// Threading contract: stateless; `audit` only reads the orchestrator and
-/// must not run concurrently with a mutation of it — callers provide the
-/// same external synchronization the orchestrator itself requires.
+/// Threading contract: stateless; `audit` only reads the orchestrator, but
+/// a read may build the topology's lazy caches, so it must not run
+/// concurrently with any other call into it — callers provide the same
+/// external synchronization the orchestrator itself requires.
 class StateAuditor {
  public:
   /// Runs every invariant; returns human-readable violations (empty means

@@ -1,11 +1,8 @@
 #include "graph/graph.h"
 
-#include <mutex>
 #include <stdexcept>
-#include <utility>
 
 #include "graph/scratch.h"
-#include "util/lock_rank.h"
 
 namespace alvc::graph {
 
@@ -32,61 +29,8 @@ TraversalScratch& thread_scratch() {
   return scratch;
 }
 
-Graph::Graph(const Graph& other)
-    : kind_(other.kind_), vertex_count_(other.vertex_count_), edges_(other.edges_) {}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this == &other) return *this;
-  kind_ = other.kind_;
-  vertex_count_ = other.vertex_count_;
-  edges_ = other.edges_;
-  ++epoch_;  // cold cache: the old CSR arrays describe the old edge list
-  return *this;
-}
-
-Graph::Graph(Graph&& other) noexcept
-    : kind_(other.kind_), vertex_count_(other.vertex_count_), edges_(std::move(other.edges_)) {
-  // Move transfers a warm cache (no readers may race a move by contract).
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-  const std::lock_guard<std::mutex> lock(other.csr_mutex_);
-  csr_offsets_ = std::move(other.csr_offsets_);
-  csr_adjacency_ = std::move(other.csr_adjacency_);
-  if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
-    epoch_ = other.epoch_;
-    csr_built_epoch_.store(epoch_, std::memory_order_release);
-  }
-  other.csr_built_epoch_.store(0, std::memory_order_relaxed);
-  other.vertex_count_ = 0;
-  ++other.epoch_;
-}
-
-Graph& Graph::operator=(Graph&& other) noexcept {
-  if (this == &other) return *this;
-  kind_ = other.kind_;
-  vertex_count_ = other.vertex_count_;
-  edges_ = std::move(other.edges_);
-  {
-    // One rank scope for the pair: scoped_lock acquires both atomically.
-    ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-    std::scoped_lock lock(csr_mutex_, other.csr_mutex_);
-    csr_offsets_ = std::move(other.csr_offsets_);
-    csr_adjacency_ = std::move(other.csr_adjacency_);
-  }
-  if (other.csr_built_epoch_.load(std::memory_order_relaxed) == other.epoch_) {
-    epoch_ = other.epoch_;
-    csr_built_epoch_.store(epoch_, std::memory_order_release);
-  } else {
-    ++epoch_;
-    csr_built_epoch_.store(0, std::memory_order_relaxed);
-  }
-  other.csr_built_epoch_.store(0, std::memory_order_relaxed);
-  other.vertex_count_ = 0;
-  ++other.epoch_;
-  return *this;
-}
-
 std::size_t Graph::add_vertex() {
-  ++epoch_;
+  csr_stale_ = true;
   return vertex_count_++;
 }
 
@@ -95,14 +39,11 @@ std::size_t Graph::add_edge(std::size_t from, std::size_t to, double weight) {
   check_vertex(to);
   const std::size_t e = edges_.size();
   edges_.push_back(Edge{from, to, weight});
-  ++epoch_;
+  csr_stale_ = true;
   return e;
 }
 
 void Graph::build_csr() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kGraphCsr, "graph.csr");
-  const std::lock_guard<std::mutex> lock(csr_mutex_);
-  if (csr_built_epoch_.load(std::memory_order_relaxed) == epoch_) return;
   // Counting sort over the edge list. Walking edges in insertion order
   // fills each vertex's slice in that same order, reproducing the old
   // per-vertex push_back sequence exactly.
@@ -121,25 +62,17 @@ void Graph::build_csr() const {
       csr_adjacency_[cursor[edge.to]++] = Neighbor{edge.from, e, edge.weight};
     }
   }
-  csr_built_epoch_.store(epoch_, std::memory_order_release);
+  csr_stale_ = false;
 }
 
-void Graph::ensure_csr() const {
-  if (csr_built_epoch_.load(std::memory_order_acquire) != epoch_) build_csr();
-}
-
-// Unchecked reads of the guarded arrays: the acquire load in ensure_csr
-// pairs with build_csr's release store, and the documented protocol (no
-// concurrent mutation while const readers are active) keeps them stable.
-// The analysis cannot model publication-then-quiescence.
-std::span<const Neighbor> Graph::neighbors(std::size_t v) const ALVC_NO_THREAD_SAFETY_ANALYSIS {
+std::span<const Neighbor> Graph::neighbors(std::size_t v) const {
   check_vertex(v);
   ensure_csr();
   return std::span<const Neighbor>(csr_adjacency_.data() + csr_offsets_[v],
                                    csr_offsets_[v + 1] - csr_offsets_[v]);
 }
 
-CsrView Graph::csr() const ALVC_NO_THREAD_SAFETY_ANALYSIS {
+CsrView Graph::csr() const {
   ensure_csr();
   return CsrView{.offsets = csr_offsets_, .adjacency = csr_adjacency_};
 }

@@ -7,24 +7,20 @@
 //
 // Representation: the edge list is the source of truth; adjacency is a CSR
 // view over it — one dense half-edge array (`Neighbor` slots) plus a
-// vertex-offset array — rebuilt lazily whenever the mutation epoch moves.
-// The CSR fill walks edges in insertion order, so each vertex's neighbor
-// order is EXACTLY the order the old adjacency-list build produced; every
-// traversal tie-break (and therefore every routed path) is preserved
-// bit-for-bit. The lazy build is double-checked under a mutex, so
-// concurrent const readers (parallel AL construction) are safe as long as
-// no thread mutates the graph meanwhile — the same protocol as the
-// topology's switch-graph cache.
+// vertex-offset array — rebuilt lazily after any mutation. The CSR fill
+// walks edges in insertion order, so each vertex's neighbor order is
+// EXACTLY the order the old adjacency-list build produced; every traversal
+// tie-break (and therefore every routed path) is preserved bit-for-bit.
+//
+// Threading contract: externally synchronized, like ClusterManager. Even
+// const reads may build the lazy CSR cache, so concurrent readers need the
+// caller's lock too.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace alvc::graph {
 
@@ -73,15 +69,6 @@ class Graph {
   explicit Graph(std::size_t vertex_count = 0, Kind kind = Kind::kUndirected)
       : kind_(kind), vertex_count_(vertex_count) {}
 
-  // The CSR cache (and the mutex guarding its lazy build) is per-object
-  // state: copies transfer the edge list and start with a cold cache; moves
-  // carry a warm cache with them.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
-  Graph(Graph&& other) noexcept;
-  Graph& operator=(Graph&& other) noexcept;
-  ~Graph() = default;
-
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t vertex_count() const noexcept { return vertex_count_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edges_.size(); }
@@ -105,34 +92,22 @@ class Graph {
   /// storage: any later mutation invalidates it.
   [[nodiscard]] CsrView csr() const;
 
-  /// Builds the CSR arrays if the mutation epoch moved since the last
-  /// build. Idempotent and thread-safe; `neighbors`/`csr` call it lazily,
-  /// owners that publish a graph to concurrent readers (the topology's
-  /// switch-graph cache) call it eagerly so readers never contend.
-  void ensure_csr() const;
-
-  /// Monotone counter bumped by every mutation; the CSR cache is valid
-  /// exactly when it was built at the current epoch.
-  [[nodiscard]] std::uint64_t mutation_epoch() const noexcept { return epoch_; }
-
  private:
   void check_vertex(std::size_t v) const;
-  void build_csr() const ALVC_EXCLUDES(csr_mutex_);
+  /// Rebuilds the CSR arrays if a mutation made them stale. The check is
+  /// inline: every neighbors()/csr() call pays it.
+  void ensure_csr() const {
+    if (csr_stale_) build_csr();
+  }
+  void build_csr() const;
 
   Kind kind_;
   std::size_t vertex_count_ = 0;
   std::vector<Edge> edges_;
 
-  // Mutation epoch: plain on the writer side (mutation is externally
-  // synchronized), compared against the atomically published build epoch.
-  std::uint64_t epoch_ = 1;
-
-  mutable std::mutex csr_mutex_;
-  mutable std::vector<std::size_t> csr_offsets_ ALVC_GUARDED_BY(csr_mutex_);
-  mutable std::vector<Neighbor> csr_adjacency_ ALVC_GUARDED_BY(csr_mutex_);
-  /// Epoch the CSR arrays were built at; 0 = never. The release store in
-  /// build_csr pairs with acquire loads in the accessors.
-  mutable std::atomic<std::uint64_t> csr_built_epoch_{0};
+  mutable std::vector<std::size_t> csr_offsets_;
+  mutable std::vector<Neighbor> csr_adjacency_;
+  mutable bool csr_stale_ = true;
 };
 
 }  // namespace alvc::graph

@@ -35,47 +35,6 @@ const VirtualCluster* NetworkOrchestrator::cluster_for_service(ServiceId service
   return clusters_->find_by_service(service);
 }
 
-std::vector<Status> NetworkOrchestrator::preadmit_chains(
-    std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor) {
-  ALVC_SPAN(span, "orchestrator.preadmit_chains");
-  struct Screened {
-    const VirtualCluster* vc = nullptr;
-    AdmissionDecision decision;
-  };
-  std::vector<Screened> screened(specs.size());
-  // Resolve clusters up front (reads clusters_, not thread-safe to mix with
-  // mutation anyway; the checks themselves are pure reads).
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    screened[i].vc = cluster_for_service(specs[i].service);
-  }
-  const auto check_one = [&](std::size_t i) {
-    if (screened[i].vc == nullptr) {
-      screened[i].decision.status =
-          Error{ErrorCode::kNotFound,
-                "no cluster serves service " + std::to_string(specs[i].service.value())};
-      return;
-    }
-    screened[i].decision = admission_.check(specs[i], *screened[i].vc, cloud_.pool());
-  };
-  if (executor != nullptr) {
-    auto tasks = executor->new_task_group();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      tasks->submit([&, i] { check_one(i); });
-    }
-    tasks->wait_all();
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) check_one(i);
-  }
-  // Record counters serially, in input order, so stats match a serial run.
-  std::vector<Status> results;
-  results.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (screened[i].vc != nullptr) admission_.record(screened[i].decision);
-    results.push_back(screened[i].decision.status);
-  }
-  return results;
-}
-
 Expected<NfcId> NetworkOrchestrator::provision_chain(const alvc::nfv::NfcSpec& spec,
                                                      const PlacementStrategy& placement) {
   ALVC_SPAN(span, "orchestrator.provision_chain");

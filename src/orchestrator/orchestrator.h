@@ -34,7 +34,6 @@
 #include "sdn/cloud_manager.h"
 #include "sdn/controller.h"
 #include "sdn/events.h"
-#include "util/executor.h"
 
 namespace alvc::orchestrator {
 
@@ -84,9 +83,8 @@ struct OrchestratorStats {
 /// Threading contract: externally synchronized, single-writer. The retry
 /// queue (retry_queue_) and recovery epoch are plain members mutated only
 /// inside handle_*_failure / handle_*_recovery / drain_retry_queue on the
-/// calling thread; nothing here is touched by Executor workers. Callers
-/// that drive the orchestrator from several threads (the chaos suites)
-/// must wrap every call in one lock, as ChaosRunner does.
+/// calling thread. Callers that drive the orchestrator from several
+/// threads must wrap every call in one lock.
 class NetworkOrchestrator {
  public:
   /// The orchestrator borrows the cluster manager (clusters are built by
@@ -128,17 +126,6 @@ class NetworkOrchestrator {
   /// every failure/recovery handler; public so tests and operators can
   /// force a pass. Returns the number of chains whose reservation changed.
   std::size_t rebalance_bandwidth();
-
-  /// Batch admission pre-screen: evaluates every spec's admission decision
-  /// (against the cluster serving its service) without provisioning
-  /// anything. Checks fan out to `executor` (serial when null) — safe
-  /// because check() only reads — and results come back in input order,
-  /// identical to calling admission serially; counters are then recorded
-  /// once per spec in input order. Specs whose service has no cluster get
-  /// kNotFound and touch no counter. Typical use: screen a provisioning
-  /// wave cheaply, then provision_chain() the admitted ones.
-  [[nodiscard]] std::vector<alvc::util::Status> preadmit_chains(
-      std::span<const alvc::nfv::NfcSpec> specs, alvc::util::Executor* executor = nullptr);
 
   /// Provisions a chain with a complex processing order (paper §IV-A's
   /// "network forwarding graph"): nodes are placed like a linear chain in

@@ -1,9 +1,9 @@
 // Thread-safe metric registry: sharded-atomic counters, gauges, and
 // fixed-bucket histograms.
 //
-// Writers on the hot control-plane paths (AL construction batches running
-// on util::Executor workers, orchestrator provisioning, SDN rule churn)
-// must never serialize on instrumentation. Counters and histograms are
+// Writers on the hot control-plane paths (AL construction, orchestrator
+// provisioning, SDN rule churn) must never serialize on instrumentation,
+// whichever thread the caller drives them from. Counters and histograms are
 // therefore striped across kShardCount cache-line-padded shards; each
 // thread picks a shard once (thread_local) and all its increments are
 // relaxed atomics on that shard. Readers merge the shards on demand.
@@ -33,8 +33,8 @@
 namespace alvc::telemetry {
 
 /// Number of stripes per sharded metric. A modest fixed count keeps the
-/// footprint bounded (one cache line per stripe) while giving the
-/// Executor's default worker pool collision-free increments.
+/// footprint bounded (one cache line per stripe) while giving up to that
+/// many writer threads collision-free increments.
 inline constexpr std::size_t kShardCount = 16;
 
 /// Stable shard index of the calling thread in [0, kShardCount). The main

@@ -9,14 +9,14 @@
 // When ON, each call site caches its metric handle in a function-local
 // static (MetricRegistry guarantees handle stability across reset()), so
 // the steady-state cost of a hook is one static-init guard check plus one
-// relaxed atomic on a per-thread shard — safe inside util::Executor
-// workers without serializing them.
+// relaxed atomic on a per-thread shard — safe from any thread without
+// serializing writers.
 //
 //   ALVC_COUNT("sdn.rules.installed");             // +1
-//   ALVC_COUNT_N("cluster.build.groups", groups);  // +n
+//   ALVC_COUNT_N("sdn.rules.installed", rules);    // +n
 //   ALVC_GAUGE_SET("orchestrator.retry_queue.depth", depth);
 //   ALVC_OBSERVE("orchestrator.route.path_length", 0, 64, 32, hops);
-//   ALVC_SPAN(span, "cluster.build_all_clusters");  // RAII scope span
+//   ALVC_SPAN(span, "cluster.create_cluster");     // RAII scope span
 //   ALVC_TELEMETRY_SET_TIME_S(now);  // sim::EventQueue drives the logical clock
 #pragma once
 

@@ -1,51 +1,9 @@
 #include "topology/topology.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
-#include "util/lock_rank.h"
 
 namespace alvc::topology {
-
-DataCenterTopology::DataCenterTopology(const DataCenterTopology& other)
-    : servers_(other.servers_),
-      vms_(other.vms_),
-      tors_(other.tors_),
-      opss_(other.opss_),
-      failed_links_(other.failed_links_) {}
-
-DataCenterTopology& DataCenterTopology::operator=(const DataCenterTopology& other) {
-  if (this == &other) return *this;
-  servers_ = other.servers_;
-  vms_ = other.vms_;
-  tors_ = other.tors_;
-  opss_ = other.opss_;
-  failed_links_ = other.failed_links_;
-  invalidate_cache();
-  return *this;
-}
-
-DataCenterTopology::DataCenterTopology(DataCenterTopology&& other) noexcept
-    : servers_(std::move(other.servers_)),
-      vms_(std::move(other.vms_)),
-      tors_(std::move(other.tors_)),
-      opss_(std::move(other.opss_)),
-      failed_links_(std::move(other.failed_links_)) {
-  other.invalidate_cache();
-}
-
-DataCenterTopology& DataCenterTopology::operator=(DataCenterTopology&& other) noexcept {
-  if (this == &other) return *this;
-  servers_ = std::move(other.servers_);
-  vms_ = std::move(other.vms_);
-  tors_ = std::move(other.tors_);
-  opss_ = std::move(other.opss_);
-  failed_links_ = std::move(other.failed_links_);
-  invalidate_cache();
-  other.invalidate_cache();
-  return *this;
-}
 
 TorId DataCenterTopology::add_tor(double port_bandwidth_gbps) {
   const TorId id{static_cast<TorId::value_type>(tors_.size())};
@@ -200,45 +158,29 @@ std::vector<OpsId> DataCenterTopology::usable_uplinks(TorId tor) const {
   return out;
 }
 
-void DataCenterTopology::warm_switch_graph() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTopologySwitchGraphCache, "topology.switch_graph_cache");
-  const std::lock_guard<std::mutex> lock(switch_graph_mutex_);
-  if (switch_graph_valid_.load(std::memory_order_relaxed)) return;
-  alvc::graph::Graph g(tors_.size() + opss_.size());
+const alvc::graph::Graph& DataCenterTopology::switch_graph() const {
+  if (switch_graph_stale_) rebuild_switch_graph();
+  return switch_graph_;
+}
+
+void DataCenterTopology::rebuild_switch_graph() const {
+  switch_graph_ = alvc::graph::Graph(tors_.size() + opss_.size());
   for (const auto& t : tors_) {
     if (t.failed) continue;
     for (OpsId ops : t.uplinks) {
       if (opss_[ops.index()].failed || link_failed(t.id, ops)) continue;
-      g.add_edge(tor_vertex(t.id), ops_vertex(ops));
+      switch_graph_.add_edge(tor_vertex(t.id), ops_vertex(ops));
     }
   }
   for (const auto& o : opss_) {
     if (o.failed) continue;
     for (OpsId peer : o.peer_links) {
       if (o.id < peer && !opss_[peer.index()].failed) {  // each undirected core link once
-        g.add_edge(ops_vertex(o.id), ops_vertex(peer));
+        switch_graph_.add_edge(ops_vertex(o.id), ops_vertex(peer));
       }
     }
   }
-  // Warm the CSR adjacency before publication so concurrent readers never
-  // contend on the graph's own lazy build.
-  g.ensure_csr();
-  switch_graph_ = std::move(g);
-  switch_graph_valid_.store(true, std::memory_order_release);
-}
-
-// Unchecked read of the guarded cache: the acquire load of the valid flag
-// pairs with warm_switch_graph's release store, so a reader that observes
-// valid==true sees the fully built graph, and the documented protocol (no
-// concurrent mutation while const readers are active) keeps it stable. The
-// analysis cannot model publication-then-quiescence, hence the suppression.
-const alvc::graph::Graph& DataCenterTopology::switch_graph() const
-    ALVC_NO_THREAD_SAFETY_ANALYSIS {
-  // Double-checked lazy build: concurrent const readers (parallel AL
-  // construction) may race to warm the cache; they serialise inside
-  // warm_switch_graph.
-  if (!switch_graph_valid_.load(std::memory_order_acquire)) warm_switch_graph();
-  return switch_graph_;
+  switch_graph_stale_ = false;
 }
 
 OpsId DataCenterTopology::vertex_to_ops(std::size_t v) const {

@@ -10,10 +10,8 @@
 // Invariant: ids are dense (id.value() indexes the owning vector).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -22,22 +20,14 @@
 #include "graph/graph.h"
 #include "topology/elements.h"
 #include "util/error.h"
-#include "util/thread_annotations.h"
 
 namespace alvc::topology {
 
+/// Threading contract: externally synchronized, like ClusterManager. Even
+/// const reads may rebuild the lazy switch-graph cache, so concurrent
+/// readers need the caller's lock too.
 class DataCenterTopology {
  public:
-  DataCenterTopology() = default;
-  // The switch-graph cache (and the mutex guarding its lazy build) is
-  // per-object state, not topology data: copies and moves transfer the
-  // elements and start with a cold cache.
-  DataCenterTopology(const DataCenterTopology& other);
-  DataCenterTopology& operator=(const DataCenterTopology& other);
-  DataCenterTopology(DataCenterTopology&& other) noexcept;
-  DataCenterTopology& operator=(DataCenterTopology&& other) noexcept;
-  ~DataCenterTopology() = default;
-
   // ---- construction (used by TopologyBuilder and tests) ----
 
   /// Adds a ToR switch; returns its id.
@@ -130,9 +120,7 @@ class DataCenterTopology {
 
   /// Switch-level graph over ToRs and OPSs. Vertex layout:
   /// [0, tor_count) are ToRs, [tor_count, tor_count + ops_count) are OPSs.
-  /// Rebuilt lazily after structural changes. The lazy build is
-  /// synchronised, so concurrent const readers (parallel AL builds) are
-  /// safe as long as no thread mutates the topology meanwhile.
+  /// Rebuilt lazily after structural changes.
   [[nodiscard]] const alvc::graph::Graph& switch_graph() const;
   [[nodiscard]] std::size_t tor_vertex(TorId id) const { return id.index(); }
   [[nodiscard]] std::size_t ops_vertex(OpsId id) const { return tors_.size() + id.index(); }
@@ -152,14 +140,12 @@ class DataCenterTopology {
   [[nodiscard]] alvc::graph::BipartiteGraph tor_ops_graph() const;
 
  private:
-  /// Builds the switch graph under the cache mutex and publishes it via the
-  /// valid flag (release). Idempotent; racing callers serialise here.
-  void warm_switch_graph() const ALVC_EXCLUDES(switch_graph_mutex_);
+  /// Rebuilds the switch graph from the live elements (switch_graph()'s
+  /// slow path, kept out of line so the cached path stays small).
+  void rebuild_switch_graph() const;
 
   /// Drops the lazy switch-graph cache; the next switch_graph() rebuilds it.
-  void invalidate_cache() noexcept {
-    switch_graph_valid_.store(false, std::memory_order_release);
-  }
+  void invalidate_cache() noexcept { switch_graph_stale_ = true; }
   [[nodiscard]] static std::uint64_t link_key(TorId tor, OpsId ops) noexcept {
     return (static_cast<std::uint64_t>(tor.value()) << 32) | ops.value();
   }
@@ -170,9 +156,8 @@ class DataCenterTopology {
   std::vector<OpticalSwitch> opss_;
   std::unordered_set<std::uint64_t> failed_links_;  // keyed by link_key
 
-  mutable std::mutex switch_graph_mutex_;
-  mutable alvc::graph::Graph switch_graph_ ALVC_GUARDED_BY(switch_graph_mutex_);
-  mutable std::atomic<bool> switch_graph_valid_{false};
+  mutable alvc::graph::Graph switch_graph_;
+  mutable bool switch_graph_stale_ = true;
 };
 
 }  // namespace alvc::topology

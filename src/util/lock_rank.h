@@ -13,20 +13,18 @@
 //   rank | lock                          | mutex
 //   -----+-------------------------------+----------------------------------
 //    10  | orchestrator.control_plane    | reserved (externally synchronized)
-//    20  | cluster.manager               | reserved (single-threaded today)
-//    30  | topology.switch_graph_cache   | DataCenterTopology::switch_graph_mutex_
-//    40  | graph.csr                     | Graph::csr_mutex_
+//    20  | cluster.manager               | reserved (externally synchronized)
 //    50  | telemetry.tracer              | Tracer::mu_
 //    60  | telemetry.metric_registry     | MetricRegistry::mu_
-//    70  | util.executor.task_group      | TaskGroup::mu_
-//    80  | util.executor.queue           | Executor::mu_
 //
-// The only real nestings in the tree are 30 -> 40 (warming the switch-graph
-// cache builds the graph's CSR under both locks) and telemetry taken under
-// either. The LockRank class is always compiled (so tests can drive it
-// directly); the ALVC_LOCK_RANK macro instrumenting production lock
-// sites expands to nothing unless the ALVC_LOCK_ORDER_CHECK CMake option
-// defines the macro of the same name.
+// The control plane (topology, graph, clusters, orchestrator) holds no
+// mutex: it runs on one thread and is externally synchronized. The only
+// real locks are telemetry's, which is thread-safe on its own and never
+// nests its two locks today; the ranks still fix the order should it.
+// The LockRank class is always compiled (so tests can drive it directly);
+// the ALVC_LOCK_RANK macro instrumenting production lock sites expands to
+// nothing unless the ALVC_LOCK_ORDER_CHECK CMake option defines the macro
+// of the same name.
 #pragma once
 
 #include <cstddef>
@@ -36,12 +34,8 @@ namespace alvc::util {
 namespace lock_rank {
 inline constexpr int kOrchestratorControlPlane = 10;
 inline constexpr int kClusterManager = 20;
-inline constexpr int kTopologySwitchGraphCache = 30;
-inline constexpr int kGraphCsr = 40;
 inline constexpr int kTelemetryTracer = 50;
 inline constexpr int kTelemetryMetricRegistry = 60;
-inline constexpr int kExecutorTaskGroup = 70;
-inline constexpr int kExecutorQueue = 80;
 }  // namespace lock_rank
 
 /// Per-thread held-rank stack. acquire() aborts unless `rank` is strictly

@@ -83,7 +83,7 @@ TEST(BlastRadiusTest, DegradedIndexTracksFaultAndRecoveryLifecycle) {
   auto topo = make_multi_cluster_topo(7);
   ClusterManager manager(topo);
   const VertexCoverAlBuilder builder;
-  ASSERT_TRUE(manager.build_all_clusters(builder).has_value());
+  ASSERT_TRUE(manager.create_clusters_by_service(builder).has_value());
   EXPECT_TRUE(manager.degraded_cluster_ids().empty());
 
   // Fail every ToR: each populated cluster is stranded without a usable
@@ -123,7 +123,7 @@ TEST(BlastRadiusTest, HandlersReportTheClustersWhoseAlTheyExamined) {
   auto topo = make_multi_cluster_topo(9);
   ClusterManager manager(topo);
   const VertexCoverAlBuilder builder;
-  ASSERT_TRUE(manager.build_all_clusters(builder).has_value());
+  ASSERT_TRUE(manager.create_clusters_by_service(builder).has_value());
 
   // A ToR failure's blast radius is exactly the clusters whose AL held the
   // ToR at entry; both sides report ascending ids.

@@ -1,16 +1,19 @@
 // CLI coverage for the check.sh driver and the bench regression gate:
 // argument handling that must fail fast (an empty --ci leg once silently
 // ran the FULL local gate on CI) and the gate's slowdown/tolerance
-// behavior on synthetic trajectories. Paths are injected by CMake as
-// ALVC_CHECK_SH and ALVC_BENCH_GATE_PY; every covered branch exits before
-// any build work, so the tests stay fast.
+// behavior on synthetic trajectories, plus a scan of check.sh itself for
+// filtered ctest calls that would pass with zero tests. Paths are injected
+// by CMake as ALVC_CHECK_SH and ALVC_BENCH_GATE_PY; every covered branch
+// exits before any build work, so the tests stay fast.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -90,6 +93,43 @@ TEST_F(CliFixture, UnknownCiLegIsAUsageErrorListingTheLegs) {
 
 TEST_F(CliFixture, UnknownArgumentIsAUsageError) {
   EXPECT_EQ(run_check("--no-such-flag").exit_code, 2);
+}
+
+/// check.sh's shell commands, one per entry, with backslash-continued lines
+/// joined and comment lines dropped.
+std::vector<std::string> check_sh_commands() {
+  std::ifstream in(ALVC_CHECK_SH);
+  std::vector<std::string> commands;
+  std::string line;
+  std::string pending;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\\') {
+      pending += line.substr(0, line.size() - 1);
+      continue;
+    }
+    pending += line;
+    const auto first = pending.find_first_not_of(" \t");
+    if (first != std::string::npos && pending[first] != '#') commands.push_back(pending);
+    pending.clear();
+  }
+  return commands;
+}
+
+TEST_F(CliFixture, FilteredCtestCallsFailWhenNoTestMatches) {
+  // A ctest filter that matches nothing prints "No tests were found!!!" and
+  // exits 0, so a leg whose filter went stale would pass having run nothing.
+  const std::regex ctest_call(R"((^|\s)ctest\s)");
+  const std::regex filter(R"(\s-(L|R)\s)");
+  std::size_t filtered = 0;
+  for (const std::string& command : check_sh_commands()) {
+    if (command.find("echo ") != std::string::npos) continue;
+    if (!std::regex_search(command, ctest_call) || !std::regex_search(command, filter)) continue;
+    ++filtered;
+    EXPECT_NE(command.find("--no-tests=error"), std::string::npos)
+        << "filtered ctest call without --no-tests=error:\n" << command;
+  }
+  // tsan, asan, telemetry, overload-soak, elastic-soak and two scale-soak calls.
+  EXPECT_GE(filtered, 7u) << "the scan no longer finds check.sh's filtered ctest calls";
 }
 
 TEST_F(CliFixture, BenchGateFailsOnInjectedSlowdown) {

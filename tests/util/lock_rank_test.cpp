@@ -12,13 +12,11 @@ namespace lr = alvc::util::lock_rank;
 TEST(LockRankTest, IncreasingAcquisitionsPass) {
   EXPECT_EQ(LockRank::held_depth(), 0u);
   {
-    const LockRank::Scope outer(lr::kTopologySwitchGraphCache, "topology.switch_graph_cache");
+    const LockRank::Scope outer(lr::kTelemetryTracer, "telemetry.tracer");
     EXPECT_EQ(LockRank::held_depth(), 1u);
     {
-      const LockRank::Scope inner(lr::kGraphCsr, "graph.csr");
+      const LockRank::Scope inner(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
       EXPECT_EQ(LockRank::held_depth(), 2u);
-      const LockRank::Scope metrics(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
-      EXPECT_EQ(LockRank::held_depth(), 3u);
     }
     EXPECT_EQ(LockRank::held_depth(), 1u);
   }
@@ -27,18 +25,18 @@ TEST(LockRankTest, IncreasingAcquisitionsPass) {
 
 TEST(LockRankTest, ReacquireAfterReleaseIsLegal) {
   for (int i = 0; i < 3; ++i) {
-    const LockRank::Scope s(lr::kGraphCsr, "graph.csr");
+    const LockRank::Scope s(lr::kTelemetryTracer, "telemetry.tracer");
     EXPECT_EQ(LockRank::held_depth(), 1u);
   }
 }
 
 TEST(LockRankTest, HeldRanksArePerThread) {
-  const LockRank::Scope outer(lr::kExecutorQueue, "util.executor.queue");
+  const LockRank::Scope outer(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
   // Another thread starts with an empty stack, so a lower rank is fine
   // there even while this thread holds the highest one.
   std::thread t([] {
     EXPECT_EQ(LockRank::held_depth(), 0u);
-    const LockRank::Scope s(lr::kGraphCsr, "graph.csr");
+    const LockRank::Scope s(lr::kTelemetryTracer, "telemetry.tracer");
     EXPECT_EQ(LockRank::held_depth(), 1u);
   });
   t.join();
@@ -48,9 +46,8 @@ TEST(LockRankTest, HeldRanksArePerThread) {
 TEST(LockRankDeathTest, InvertedOrderAborts) {
   EXPECT_DEATH(
       {
-        const LockRank::Scope outer(lr::kGraphCsr, "graph.csr");
-        const LockRank::Scope inner(lr::kTopologySwitchGraphCache,
-                                    "topology.switch_graph_cache");
+        const LockRank::Scope outer(lr::kTelemetryMetricRegistry, "telemetry.metric_registry");
+        const LockRank::Scope inner(lr::kTelemetryTracer, "telemetry.tracer");
       },
       "lock-order violation");
 }
@@ -60,8 +57,8 @@ TEST(LockRankDeathTest, SameRankReacquireWhileHeldAborts) {
   // Scope); sequential acquisition is exactly the ABBA shape the ranks ban.
   EXPECT_DEATH(
       {
-        const LockRank::Scope first(lr::kGraphCsr, "graph.csr");
-        const LockRank::Scope second(lr::kGraphCsr, "graph.csr");
+        const LockRank::Scope first(lr::kTelemetryTracer, "telemetry.tracer");
+        const LockRank::Scope second(lr::kTelemetryTracer, "telemetry.tracer");
       },
       "lock-order violation");
 }

@@ -44,8 +44,8 @@ std::string last_component(const std::string& name) {
   return at == std::string::npos ? name : name.substr(at + 2);
 }
 
-/// Trailing identifier of a raw mutex expression ("other.csr_mutex_" ->
-/// "csr_mutex_"); empty when the expression has no identifier tail.
+/// Trailing identifier of a raw mutex expression ("other.mu_" -> "mu_");
+/// empty when the expression has no identifier tail.
 std::string expr_tail(const std::string& expr) {
   std::string out;
   for (std::size_t i = expr.size(); i-- > 0;) {

@@ -6,7 +6,7 @@
 //                        mutexes; edges: nested RAII acquisitions plus
 //                        transitive acquisitions through the call graph)
 //                        must be acyclic — a cycle is a potential deadlock.
-//   lock-held-blocking   no blocking call (Executor submit/wait_all,
+//   lock-held-blocking   no blocking call (thread-pool submit/wait_all,
 //                        condition-variable waits that pin a second lock,
 //                        sleeps, stream I/O, control-plane entry points)
 //                        while any lock is held.

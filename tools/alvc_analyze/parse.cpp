@@ -95,7 +95,7 @@ std::string trim(const std::string& s) {
   return s.substr(a, b - a + 1);
 }
 
-/// Last identifier token in an expression ("other.csr_mutex_" -> "csr_mutex_").
+/// Last identifier token in an expression ("other.mu_" -> "mu_").
 std::string last_identifier(const std::string& expr) {
   std::string out;
   for (std::size_t i = expr.size(); i-- > 0;) {
