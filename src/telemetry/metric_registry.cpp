@@ -1,117 +1,47 @@
 #include "telemetry/metric_registry.h"
 
 #include <algorithm>
-#include "util/lock_rank.h"
 
 namespace alvc::telemetry {
 
-std::size_t shard_index() noexcept {
-  // fetch_add starts at 0, so the first thread to record a metric — the
-  // main thread in every serial run — owns shard 0 and serial accumulation
-  // is deterministic. Workers spread round-robin over the remaining
-  // stripes; collisions are harmless (relaxed atomics), just slower.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed) % kShardCount;
-  return index;
+Histogram::Histogram(double lo, double hi, std::size_t buckets) {
+  data_.lo = lo;
+  data_.hi = hi > lo ? hi : lo + 1.0;
+  data_.buckets.assign(std::max<std::size_t>(buckets, 1), 0);
+  width_ = (data_.hi - data_.lo) / static_cast<double>(data_.buckets.size());
 }
-
-std::uint64_t Counter::value() const noexcept {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.cell.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Counter::reset() noexcept {
-  for (Shard& s : shards_) s.cell.store(0, std::memory_order_relaxed);
-}
-
-void Gauge::add(double delta) noexcept {
-  double current = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(current, current + delta, std::memory_order_relaxed)) {
-  }
-}
-
-struct Histogram::Shard {
-  explicit Shard(std::size_t buckets) : cells(buckets) {}
-
-  // vector<atomic> is constructed once and never resized; elements are
-  // value-initialized (zero) in place.
-  std::vector<std::atomic<std::uint64_t>> cells;
-  std::atomic<std::uint64_t> underflow{0};
-  std::atomic<std::uint64_t> overflow{0};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-};
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), bucket_count_(std::max<std::size_t>(buckets, 1)) {
-  if (hi_ <= lo_) hi_ = lo_ + 1.0;
-  width_ = (hi_ - lo_) / static_cast<double>(bucket_count_);
-  shards_.reserve(kShardCount);
-  for (std::size_t i = 0; i < kShardCount; ++i) {
-    shards_.push_back(std::make_unique<Shard>(bucket_count_));
-  }
-}
-
-Histogram::~Histogram() = default;
 
 void Histogram::record(double sample) noexcept {
-  Shard& shard = *shards_[shard_index()];
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  double sum = shard.sum.load(std::memory_order_relaxed);
-  while (!shard.sum.compare_exchange_weak(sum, sum + sample, std::memory_order_relaxed)) {
-  }
-  if (sample < lo_) {
-    shard.underflow.fetch_add(1, std::memory_order_relaxed);
-  } else if (sample >= hi_) {
-    shard.overflow.fetch_add(1, std::memory_order_relaxed);
+  ++data_.count;
+  data_.sum += sample;
+  if (sample < data_.lo) {
+    ++data_.underflow;
+  } else if (sample >= data_.hi) {
+    ++data_.overflow;
   } else {
-    auto bucket = static_cast<std::size_t>((sample - lo_) / width_);
     // Rounding at the exact top edge of the last bucket can land one past
     // the end; clamp (mirrors util::Histogram).
-    bucket = std::min(bucket, bucket_count_ - 1);
-    shard.cells[bucket].fetch_add(1, std::memory_order_relaxed);
+    const auto bucket = std::min(static_cast<std::size_t>((sample - data_.lo) / width_),
+                                 data_.buckets.size() - 1);
+    ++data_.buckets[bucket];
   }
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot out;
-  out.lo = lo_;
-  out.hi = hi_;
-  out.buckets.assign(bucket_count_, 0);
-  for (const auto& shard : shards_) {
-    for (std::size_t i = 0; i < bucket_count_; ++i) {
-      out.buckets[i] += shard->cells[i].load(std::memory_order_relaxed);
-    }
-    out.underflow += shard->underflow.load(std::memory_order_relaxed);
-    out.overflow += shard->overflow.load(std::memory_order_relaxed);
-    out.count += shard->count.load(std::memory_order_relaxed);
-    out.sum += shard->sum.load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 void Histogram::reset() noexcept {
-  for (const auto& shard : shards_) {
-    for (auto& cell : shard->cells) cell.store(0, std::memory_order_relaxed);
-    shard->underflow.store(0, std::memory_order_relaxed);
-    shard->overflow.store(0, std::memory_order_relaxed);
-    shard->count.store(0, std::memory_order_relaxed);
-    shard->sum.store(0.0, std::memory_order_relaxed);
-  }
+  std::fill(data_.buckets.begin(), data_.buckets.end(), 0);
+  data_.underflow = 0;
+  data_.overflow = 0;
+  data_.count = 0;
+  data_.sum = 0.0;
 }
 
 Counter& MetricRegistry::counter(const std::string& name) {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (slot == nullptr) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& MetricRegistry::gauge(const std::string& name) {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
   return *slot;
@@ -119,16 +49,12 @@ Gauge& MetricRegistry::gauge(const std::string& name) {
 
 Histogram& MetricRegistry::histogram(const std::string& name, double lo, double hi,
                                      std::size_t buckets) {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (slot == nullptr) slot = std::make_unique<Histogram>(lo, hi, buckets);
   return *slot;
 }
 
 MetricRegistry::Snapshot MetricRegistry::snapshot() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   Snapshot out;
   out.counters.reserve(counters_.size());
   for (const auto& [name, metric] : counters_) {
@@ -146,16 +72,12 @@ MetricRegistry::Snapshot MetricRegistry::snapshot() const {
 }
 
 void MetricRegistry::reset() {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, metric] : counters_) metric->reset();
   for (const auto& [name, metric] : gauges_) metric->reset();
   for (const auto& [name, metric] : histograms_) metric->reset();
 }
 
 std::size_t MetricRegistry::metric_count() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryMetricRegistry, "telemetry.metric_registry");
-  const std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 

@@ -1,31 +1,6 @@
 #include "telemetry/span.h"
 
-#include <utility>
-
-#include "util/lock_rank.h"
-
 namespace alvc::telemetry {
-
-namespace {
-
-/// Innermost open span per (thread, tracer): parent attribution for nested
-/// spans without any cross-thread coordination. Entries are strictly LIFO
-/// because ScopedSpan is scope-bound.
-struct OpenSpan {
-  const Tracer* tracer;
-  std::uint64_t id;
-};
-
-thread_local std::vector<OpenSpan> t_open_spans;
-
-std::uint64_t innermost_for(const Tracer* tracer) {
-  for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
-    if (it->tracer == tracer) return it->id;
-  }
-  return 0;
-}
-
-}  // namespace
 
 const char* to_string(ClockMode mode) noexcept {
   switch (mode) {
@@ -39,8 +14,8 @@ const char* to_string(ClockMode mode) noexcept {
 Tracer::Tracer() : steady_epoch_(std::chrono::steady_clock::now()) {}
 
 double Tracer::now_us() const noexcept {
-  switch (mode()) {
-    case ClockMode::kLogical: return logical_us_.load(std::memory_order_relaxed);
+  switch (mode_) {
+    case ClockMode::kLogical: return logical_us_;
     case ClockMode::kSteady: {
       const auto elapsed = std::chrono::steady_clock::now() - steady_epoch_;
       return std::chrono::duration<double, std::micro>(elapsed).count();
@@ -51,34 +26,8 @@ double Tracer::now_us() const noexcept {
 }
 
 void Tracer::clear() {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryTracer, "telemetry.tracer");
-  const std::lock_guard<std::mutex> lock(mu_);
   next_id_ = 1;
   spans_.clear();
-}
-
-std::vector<SpanRecord> Tracer::spans() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryTracer, "telemetry.tracer");
-  const std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::size_t Tracer::span_count() const {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryTracer, "telemetry.tracer");
-  const std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-std::uint64_t Tracer::open_span() {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryTracer, "telemetry.tracer");
-  const std::lock_guard<std::mutex> lock(mu_);
-  return next_id_++;
-}
-
-void Tracer::record(SpanRecord record) {
-  ALVC_LOCK_RANK(alvc::util::lock_rank::kTelemetryTracer, "telemetry.tracer");
-  const std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(std::move(record));
 }
 
 Tracer& Tracer::global() noexcept {
@@ -92,23 +41,17 @@ ScopedSpan::ScopedSpan(Tracer& tracer, const char* name) {
   if (!tracer.enabled()) return;
   tracer_ = &tracer;
   name_ = name;
-  id_ = tracer.open_span();
-  parent_ = innermost_for(tracer_);
-  t_open_spans.push_back(OpenSpan{tracer_, id_});
+  id_ = tracer.next_id_++;
+  parent_ = tracer.open_.empty() ? 0 : tracer.open_.back();
+  tracer.open_.push_back(id_);
   start_us_ = tracer.now_us();
 }
 
 ScopedSpan::~ScopedSpan() {
   if (tracer_ == nullptr) return;
   const double end_us = tracer_->now_us();
-  // Strict LIFO: this span is the innermost entry for its tracer.
-  for (auto it = t_open_spans.rbegin(); it != t_open_spans.rend(); ++it) {
-    if (it->tracer == tracer_ && it->id == id_) {
-      t_open_spans.erase(std::next(it).base());
-      break;
-    }
-  }
-  tracer_->record(SpanRecord{id_, parent_, name_, start_us_, end_us});
+  tracer_->open_.pop_back();  // scope-bound, so this span is the innermost
+  tracer_->spans_.push_back(SpanRecord{id_, parent_, name_, start_us_, end_us});
 }
 
 }  // namespace alvc::telemetry

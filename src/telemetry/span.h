@@ -2,31 +2,25 @@
 //
 // A ScopedSpan brackets one phase of work (an AL build stage, a chain
 // provision, a fault handler) and records {id, parent, name, start, end}
-// into a Tracer when it closes. Nesting is tracked per thread: a span
-// opened while another span of the same tracer is open on the same thread
-// becomes its child.
+// into a Tracer when it closes. Nesting is tracked per tracer: a span
+// opened while another span of the same tracer is open becomes its child.
 //
 // Clocks are pluggable per tracer:
-//   kDisabled  spans cost one relaxed load and record nothing (default);
+//   kDisabled  spans cost one load and record nothing (default);
 //   kSteady    wall time from std::chrono::steady_clock (benches);
 //   kLogical   simulation time pushed by sim::EventQueue via the
 //              ALVC_TELEMETRY_SET_TIME_S hook — traces of a seeded run are
 //              bit-reproducible because no real clock is ever read.
 //
-// Threading contract: Tracer is thread-safe (ids and the record buffer sit
-// behind a mutex; mode and logical time are atomics). Span ordering in the
-// buffer is deterministic only for single-threaded runs, which is what the
-// reproducibility tests pin down.
+// Threading contract: single-threaded and externally synchronized, like
+// the MetricRegistry. Span ids and buffer order follow program order, so a
+// seeded capture is byte-reproducible.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace alvc::telemetry {
 
@@ -56,30 +50,25 @@ class Tracer {
 
   /// Switching the mode does not clear recorded spans; pair with clear()
   /// when starting a fresh capture.
-  void set_mode(ClockMode mode) noexcept {
-    mode_.store(static_cast<std::uint8_t>(mode), std::memory_order_relaxed);
-  }
-  [[nodiscard]] ClockMode mode() const noexcept {
-    return static_cast<ClockMode>(mode_.load(std::memory_order_relaxed));
-  }
+  void set_mode(ClockMode mode) noexcept { mode_ = mode; }
+  [[nodiscard]] ClockMode mode() const noexcept { return mode_; }
   [[nodiscard]] bool enabled() const noexcept { return mode() != ClockMode::kDisabled; }
 
   /// Advances the logical clock (seconds). Driven by sim::EventQueue as it
   /// dispatches events; ignored unless mode() == kLogical at read time.
-  void set_logical_time_s(double seconds) noexcept {
-    logical_us_.store(seconds * 1e6, std::memory_order_relaxed);
-  }
+  void set_logical_time_s(double seconds) noexcept { logical_us_ = seconds * 1e6; }
 
   /// Current time in microseconds under the active clock mode.
   [[nodiscard]] double now_us() const noexcept;
 
   /// Drops all recorded spans and restarts span ids from 1 (so a second
-  /// seeded capture reproduces the first byte-for-byte). Keeps the mode.
-  void clear() ALVC_EXCLUDES(mu_);
+  /// seeded capture reproduces the first byte-for-byte). Keeps the mode
+  /// and any open spans, which still record when they close.
+  void clear();
 
   /// Closed spans in completion order (children close before parents).
-  [[nodiscard]] std::vector<SpanRecord> spans() const ALVC_EXCLUDES(mu_);
-  [[nodiscard]] std::size_t span_count() const ALVC_EXCLUDES(mu_);
+  [[nodiscard]] std::vector<SpanRecord> spans() const { return spans_; }
+  [[nodiscard]] std::size_t span_count() const noexcept { return spans_.size(); }
 
   /// The process-wide tracer the ALVC_SPAN hook records into.
   [[nodiscard]] static Tracer& global() noexcept;
@@ -87,16 +76,15 @@ class Tracer {
  private:
   friend class ScopedSpan;
 
-  [[nodiscard]] std::uint64_t open_span() ALVC_EXCLUDES(mu_);
-  void record(SpanRecord record) ALVC_EXCLUDES(mu_);
-
-  std::atomic<std::uint8_t> mode_{static_cast<std::uint8_t>(ClockMode::kDisabled)};
-  std::atomic<double> logical_us_{0.0};
+  ClockMode mode_ = ClockMode::kDisabled;
+  double logical_us_ = 0.0;
   std::chrono::steady_clock::time_point steady_epoch_;
 
-  mutable std::mutex mu_;
-  std::uint64_t next_id_ ALVC_GUARDED_BY(mu_) = 1;
-  std::vector<SpanRecord> spans_ ALVC_GUARDED_BY(mu_);
+  std::uint64_t next_id_ = 1;
+  std::vector<SpanRecord> spans_;
+  // Ids of the open spans, innermost last. Strictly LIFO because
+  // ScopedSpan is scope-bound.
+  std::vector<std::uint64_t> open_;
 };
 
 /// RAII span: opens on construction, records on destruction. `name` must

@@ -9,8 +9,8 @@
 // When ON, each call site caches its metric handle in a function-local
 // static (MetricRegistry guarantees handle stability across reset()), so
 // the steady-state cost of a hook is one static-init guard check plus one
-// relaxed atomic on a per-thread shard — safe from any thread without
-// serializing writers.
+// plain increment. Like the registry and tracer behind them, the hooks are
+// single-threaded: the control plane calls them from its one thread.
 //
 //   ALVC_COUNT("sdn.rules.installed");             // +1
 //   ALVC_COUNT_N("sdn.rules.installed", rules);    // +n
@@ -60,8 +60,8 @@
     alvc_telemetry_handle.record(static_cast<double>(sample));                 \
   } while (0)
 
-/// Declares a ScopedSpan named `var` on the global tracer. A no-cost
-/// relaxed load when the tracer is disabled (the default).
+/// Declares a ScopedSpan named `var` on the global tracer. One load and a
+/// branch when the tracer is disabled (the default).
 #define ALVC_SPAN(var, name)                                                   \
   ::alvc::telemetry::ScopedSpan var(::alvc::telemetry::Tracer::global(), name)
 

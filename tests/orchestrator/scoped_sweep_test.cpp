@@ -90,7 +90,10 @@ std::vector<FaultEvent> make_schedule(const core::DataCenter& dc, std::uint64_t 
 
 std::string ids_to_string(const std::vector<NfcId>& ids) {
   std::string out;
-  for (NfcId id : ids) out += (out.empty() ? "" : ",") + std::to_string(id.value());
+  for (NfcId id : ids) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(id.value());
+  }
   return out;
 }
 

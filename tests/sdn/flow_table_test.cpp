@@ -33,7 +33,7 @@ TEST(FlowTableTest, RulesExportInNfcOrder) {
   // state auditor diffs exported tables across runs).
   FlowTable table;
   for (const std::uint64_t id : {7u, 2u, 9u, 1u, 5u, 3u}) {
-    EXPECT_TRUE(table.install(NfcId{id}, id + 100));
+    EXPECT_TRUE(table.install(NfcId{static_cast<NfcId::value_type>(id)}, id + 100));
   }
   const auto rules = table.rules();
   ASSERT_EQ(rules.size(), 6u);

@@ -1,4 +1,4 @@
-// ScopedSpan / Tracer: clock modes, nesting, and id lifecycle.
+// ScopedSpan / Tracer: clock modes, nesting (per tracer), and id lifecycle.
 #include "telemetry/span.h"
 
 #include <gtest/gtest.h>
@@ -72,6 +72,45 @@ TEST(TracerTest, SiblingsShareAParent) {
   EXPECT_EQ(spans[0].parent, 1u);
   EXPECT_EQ(spans[1].parent, 1u);
   EXPECT_NE(spans[0].id, spans[1].id);
+}
+
+TEST(TracerTest, TwoTracersNestIndependently) {
+  // Interleaved spans of two tracers: each span's parent is the innermost
+  // open span of its own tracer, never one of the other tracer's.
+  Tracer a;
+  Tracer b;
+  a.set_mode(ClockMode::kLogical);
+  b.set_mode(ClockMode::kLogical);
+  {
+    ScopedSpan a_outer(a, "a.outer");
+    ScopedSpan b_outer(b, "b.outer");
+    {
+      ScopedSpan a_inner(a, "a.inner");
+      ScopedSpan b_inner(b, "b.inner");
+      { ScopedSpan a_leaf(a, "a.leaf"); }
+    }
+    { ScopedSpan b_sibling(b, "b.sibling"); }
+  }
+  const auto a_spans = a.spans();
+  ASSERT_EQ(a_spans.size(), 3u);
+  EXPECT_EQ(a_spans[0].name, "a.leaf");
+  EXPECT_EQ(a_spans[1].name, "a.inner");
+  EXPECT_EQ(a_spans[2].name, "a.outer");
+  EXPECT_EQ(a_spans[2].parent, 0u);
+  EXPECT_EQ(a_spans[1].parent, a_spans[2].id);
+  EXPECT_EQ(a_spans[0].parent, a_spans[1].id);
+
+  const auto b_spans = b.spans();
+  ASSERT_EQ(b_spans.size(), 3u);
+  EXPECT_EQ(b_spans[0].name, "b.inner");
+  EXPECT_EQ(b_spans[1].name, "b.sibling");
+  EXPECT_EQ(b_spans[2].name, "b.outer");
+  EXPECT_EQ(b_spans[2].parent, 0u);
+  EXPECT_EQ(b_spans[0].parent, b_spans[2].id);
+  EXPECT_EQ(b_spans[1].parent, b_spans[2].id);
+  // Ids are per tracer: each tracer numbers its own spans from 1.
+  EXPECT_EQ(a_spans[2].id, 1u);
+  EXPECT_EQ(b_spans[2].id, 1u);
 }
 
 TEST(TracerTest, ClearRestartsIdsForReproducibleCaptures) {

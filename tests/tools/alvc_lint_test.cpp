@@ -96,19 +96,6 @@ TEST(AlvcLintTest, FlagsMapAdjacencyInGraphAndTopology) {
   EXPECT_TRUE(lint_source("tests/graph/fine.cc", content).empty());
 }
 
-TEST(AlvcLintTest, FlagsRecursiveMutexAndNakedLockCalls) {
-  const auto content = read_fixture("raw_lock.cc");
-  const auto in_src = lint_source("src/orchestrator/bad.cc", content);
-  // Line 8: std::recursive_mutex member; line 12: naked mu.lock(). The
-  // try_lock/unlock pair and the RAII guard stay legal, and line 39's
-  // adopt_lock handoff is suppressed by its allow() comment.
-  EXPECT_EQ(rules_and_lines(in_src),
-            (std::multiset<std::pair<std::string, std::size_t>>{{"raw-lock", 8},
-                                                                {"raw-lock", 12}}));
-  // The rule is scoped to src/: tests may drive mutexes by hand.
-  EXPECT_TRUE(lint_source("tests/util/fine.cc", content).empty());
-}
-
 TEST(AlvcLintTest, TelemetryIsBelowTheOrchestrator) {
   const auto findings =
       lint_source("src/telemetry/bad.cc", "#include \"orchestrator/orchestrator.h\"\n");

@@ -1,40 +1,31 @@
-// Fixture: a well-behaved TU — consistent lock order everywhere, atomic
-// multi-acquisition via scoped_lock, blocking only after unlock, and only
-// ordered containers escaping. Must produce zero findings.
-#include <chrono>
+// Fixture: a well-behaved TU — only ordered containers escape, a hash-order
+// walk is sorted before it returns, and every call goes downwards. Must
+// produce zero findings.
+#include <algorithm>
 #include <map>
-#include <mutex>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
+namespace alvc::graph {
+int weight(int key);
+}
+
 struct Ledger {
-  std::mutex first_mu;
-  std::mutex second_mu;
   std::map<int, int> entries;
-
-  void nested_consistent() {
-    std::lock_guard<std::mutex> a(first_mu);
-    std::lock_guard<std::mutex> b(second_mu);
-  }
-
-  void also_consistent() {
-    std::lock_guard<std::mutex> a(first_mu);
-    std::lock_guard<std::mutex> b(second_mu);
-  }
-
-  void atomic_pair() {
-    std::scoped_lock both(first_mu, second_mu);  // std::lock: no ordering edge
-  }
-
-  void unlock_then_sleep() {
-    std::unique_lock<std::mutex> lk(first_mu);
-    lk.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  std::unordered_map<int, int> index;
 
   std::vector<int> ordered_dump() const {
     std::vector<int> out;
     for (const auto& [k, v] : entries) out.push_back(v);  // std::map: stable
     return out;
   }
+
+  std::vector<int> sorted_keys() const {
+    std::vector<int> out;
+    for (const auto& [k, v] : index) out.push_back(k);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  int weigh(int key) const { return alvc::graph::weight(key); }
 };

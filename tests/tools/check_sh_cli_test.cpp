@@ -1,16 +1,18 @@
 // CLI coverage for the check.sh driver and the bench regression gate:
 // argument handling that must fail fast (an empty --ci leg once silently
 // ran the FULL local gate on CI) and the gate's slowdown/tolerance
-// behavior on synthetic trajectories, plus a scan of check.sh itself for
-// filtered ctest calls that would pass with zero tests. Paths are injected
-// by CMake as ALVC_CHECK_SH and ALVC_BENCH_GATE_PY; every covered branch
-// exits before any build work, so the tests stay fast.
+// behavior on synthetic trajectories, plus scans of check.sh itself for
+// filtered ctest calls that would pass with zero tests and for an ASan leg
+// that does not build every `failures` suite. Paths are injected by CMake
+// as ALVC_CHECK_SH, ALVC_BENCH_GATE_PY and ALVC_TESTS_CMAKELISTS; every
+// covered branch exits before any build work, so the tests stay fast.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,13 +98,23 @@ TEST_F(CliFixture, UnknownArgumentIsAUsageError) {
 }
 
 /// check.sh's shell commands, one per entry, with backslash-continued lines
-/// joined and comment lines dropped.
-std::vector<std::string> check_sh_commands() {
+/// joined and comment lines dropped. A non-empty `function` keeps only the
+/// commands inside that shell function's body.
+std::vector<std::string> check_sh_commands(const std::string& function = "") {
   std::ifstream in(ALVC_CHECK_SH);
   std::vector<std::string> commands;
   std::string line;
   std::string pending;
+  bool inside = function.empty();
   while (std::getline(in, line)) {
+    if (!function.empty()) {
+      if (line.rfind(function + "() {", 0) == 0) {
+        inside = true;
+        continue;
+      }
+      if (inside && line == "}") break;
+      if (!inside) continue;
+    }
     if (!line.empty() && line.back() == '\\') {
       pending += line.substr(0, line.size() - 1);
       continue;
@@ -128,8 +140,39 @@ TEST_F(CliFixture, FilteredCtestCallsFailWhenNoTestMatches) {
     EXPECT_NE(command.find("--no-tests=error"), std::string::npos)
         << "filtered ctest call without --no-tests=error:\n" << command;
   }
-  // tsan, asan, telemetry, overload-soak, elastic-soak and two scale-soak calls.
-  EXPECT_GE(filtered, 7u) << "the scan no longer finds check.sh's filtered ctest calls";
+  // asan, telemetry, overload-soak, elastic-soak and two scale-soak calls.
+  EXPECT_EQ(filtered, 6u) << "check.sh's filtered ctest calls changed; update this count";
+}
+
+TEST_F(CliFixture, AsanLegBuildsEveryFailuresSuite) {
+  // leg_asan runs `ctest -L failures` over the targets it builds. A labelled
+  // target missing from its --target list registers an unlabelled
+  // <target>_NOT_BUILT test instead, so -L failures would silently skip it.
+  std::ifstream in(ALVC_TESTS_CMAKELISTS);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string cmake = buffer.str();
+  const std::regex add_test(R"(alvc_add_test\(\s*(\w+)([^)]*)\))");
+  const std::regex failures_label(R"(\sLABELS\s[^)]*\bfailures\b)");
+  std::set<std::string> labelled;
+  for (auto it = std::sregex_iterator(cmake.begin(), cmake.end(), add_test);
+       it != std::sregex_iterator(); ++it) {
+    const std::string args = (*it)[2].str();
+    if (std::regex_search(args, failures_label)) labelled.insert((*it)[1].str());
+  }
+  ASSERT_GE(labelled.size(), 10u) << "the scan no longer finds the `failures` suites";
+
+  std::set<std::string> built;
+  for (const std::string& command : check_sh_commands("leg_asan")) {
+    const auto at = command.find("--target");
+    if (command.find("cmake --build") == std::string::npos || at == std::string::npos) continue;
+    std::istringstream targets(command.substr(at + std::string("--target").size()));
+    for (std::string target; targets >> target;) built.insert(target);
+  }
+  for (const std::string& target : labelled) {
+    EXPECT_EQ(built.count(target), 1u)
+        << target << " is labelled `failures` but leg_asan does not build it";
+  }
 }
 
 TEST_F(CliFixture, BenchGateFailsOnInjectedSlowdown) {

@@ -4,7 +4,6 @@
 // determinism pass, and findings must be byte-stable across runs.
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -39,41 +38,17 @@ std::string src_layer(const std::string& path) {
   return layer_ranks().count(layer) > 0 ? layer : "";
 }
 
-std::string last_component(const std::string& name) {
-  const std::size_t at = name.rfind("::");
-  return at == std::string::npos ? name : name.substr(at + 2);
-}
-
-/// Trailing identifier of a raw mutex expression ("other.mu_" -> "mu_");
-/// empty when the expression has no identifier tail.
-std::string expr_tail(const std::string& expr) {
-  std::string out;
-  for (std::size_t i = expr.size(); i-- > 0;) {
-    const char c = expr[i];
-    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-        c == '_') {
-      out.insert(out.begin(), c);
-    } else if (!out.empty()) {
-      break;
-    }
-  }
-  return out;
-}
-
 struct Program {
-  // mutex member name -> set of declaring classes ("" = namespace scope).
-  std::map<std::string, std::set<std::string>> mutex_classes;
+  // unordered member name -> set of declaring classes ("" = namespace scope).
   std::map<std::string, std::set<std::string>> unordered_classes;
   std::vector<const FunctionModel*> functions;
   // simple name -> function indices; qualified name handled by suffix match.
   std::map<std::string, std::vector<std::size_t>> by_simple;
-  std::map<std::string, int> file_rank;  // function index is keyed via functions
 };
 
 Program link(const std::vector<TuModel>& tus) {
   Program p;
   for (const auto& tu : tus) {
-    for (const auto& m : tu.mutexes) p.mutex_classes[m.name].insert(m.cls);
     for (const auto& u : tu.unordered) p.unordered_classes[u.name].insert(u.cls);
   }
   for (const auto& tu : tus) {
@@ -83,24 +58,6 @@ Program link(const std::vector<TuModel>& tus) {
     }
   }
   return p;
-}
-
-/// Resolves a raw mutex expression in the context of `cls` to a graph node
-/// id (`Class::member` or `::global`). nullopt = untracked.
-std::optional<std::string> resolve_mutex(const Program& p, const std::string& expr,
-                                         const std::string& cls) {
-  const std::string name = expr_tail(expr);
-  if (name.empty()) return std::nullopt;
-  const auto it = p.mutex_classes.find(name);
-  if (it == p.mutex_classes.end()) return std::nullopt;
-  const auto& classes = it->second;
-  if (!cls.empty() && classes.count(cls) > 0) return cls + "::" + name;
-  if (classes.size() == 1) {
-    const std::string& owner = *classes.begin();
-    return owner.empty() ? "::" + name : owner + "::" + name;
-  }
-  if (classes.count("") > 0) return "::" + name;
-  return std::nullopt;
 }
 
 constexpr std::size_t kMaxCandidates = 6;
@@ -138,118 +95,6 @@ std::vector<std::size_t> resolve_call(const Program& p, const CallSite& call,
   return out;
 }
 
-std::string join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (const auto& part : parts) {
-    if (!out.empty()) out += sep;
-    out += part;
-  }
-  return out;
-}
-
-// Calls that block (or re-enter the control plane) and must never run under
-// a lock. `wait`-family members are tolerated with exactly one lock held —
-// that is the condition-variable idiom, which releases its own lock.
-bool is_blocking_call(const std::string& simple, std::size_t held_count) {
-  static const std::set<std::string> kBlocking = {
-      "wait_all", "sleep_for", "sleep_until", "flush",
-      "submit",   "route",     "route_graph", "route_linear",
-      "provision_chain", "provision_forwarding_graph", "teardown_chain"};
-  static const std::set<std::string> kCvWait = {"wait", "wait_for", "wait_until"};
-  if (kBlocking.count(simple) > 0) return held_count >= 1;
-  if (kCvWait.count(simple) > 0) return held_count >= 2;
-  if (simple == "<io-stream>") return held_count >= 1;
-  return false;
-}
-
-struct EdgeKey {
-  std::string from;
-  std::string to;
-  bool operator<(const EdgeKey& other) const {
-    return from != other.from ? from < other.from : to < other.to;
-  }
-};
-
-/// Iterative Tarjan SCC over the lock-order graph.
-std::vector<std::vector<std::string>> strongly_connected(
-    const std::map<std::string, std::set<std::string>>& adj) {
-  std::vector<std::string> nodes;
-  std::map<std::string, std::size_t> index_of;
-  for (const auto& [node, _] : adj) {
-    index_of[node] = nodes.size();
-    nodes.push_back(node);
-  }
-  for (const auto& [_, outs] : adj) {
-    for (const auto& to : outs) {
-      if (index_of.count(to) == 0) {
-        index_of[to] = nodes.size();
-        nodes.push_back(to);
-      }
-    }
-  }
-  const std::size_t n = nodes.size();
-  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnset);
-  std::vector<std::size_t> low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::vector<std::string>> sccs;
-  std::size_t counter = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::vector<std::size_t> succs;
-    std::size_t next = 0;
-  };
-  auto successors = [&](std::size_t v) {
-    std::vector<std::size_t> out;
-    const auto it = adj.find(nodes[v]);
-    if (it != adj.end()) {
-      for (const auto& to : it->second) out.push_back(index_of.at(to));
-    }
-    return out;
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnset) continue;
-    std::vector<Frame> frames;
-    frames.push_back(Frame{root, successors(root)});
-    index[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.next < f.succs.size()) {
-        const std::size_t w = f.succs[f.next++];
-        if (index[w] == kUnset) {
-          index[w] = low[w] = counter++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back(Frame{w, successors(w)});
-        } else if (on_stack[w]) {
-          low[f.v] = std::min(low[f.v], index[w]);
-        }
-      } else {
-        if (low[f.v] == index[f.v]) {
-          std::vector<std::string> scc;
-          while (true) {
-            const std::size_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            scc.push_back(nodes[w]);
-            if (w == f.v) break;
-          }
-          std::sort(scc.begin(), scc.end());
-          sccs.push_back(std::move(scc));
-        }
-        const std::size_t v = f.v;
-        frames.pop_back();
-        if (!frames.empty()) low[frames.back().v] = std::min(low[frames.back().v], low[v]);
-      }
-    }
-  }
-  return sccs;
-}
-
 }  // namespace
 
 std::string to_string(const Finding& finding) {
@@ -271,11 +116,7 @@ Analyzer::Result Analyzer::run() const {
   result.stats.functions = program.functions.size();
   for (const auto& tu : tus_) {
     result.stats.lines += tu.lines;
-    result.stats.mutexes += tu.mutexes.size();
-    for (const auto& fn : tu.functions) {
-      result.stats.lock_sites += fn.locks.size();
-      result.stats.call_sites += fn.calls.size();
-    }
+    for (const auto& fn : tu.functions) result.stats.call_sites += fn.calls.size();
   }
 
   // allow() lookup: file -> line -> waived passes.
@@ -294,119 +135,7 @@ Analyzer::Result Analyzer::run() const {
     result.findings.push_back(std::move(finding));
   };
 
-  // --- transitive lock sets through the call graph -----------------------
   const std::size_t n = program.functions.size();
-  std::vector<std::set<std::string>> acquires(n);
-  std::vector<std::vector<std::size_t>> callees(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const FunctionModel& fn = *program.functions[i];
-    for (const auto& lock : fn.locks) {
-      for (const auto& expr : lock.exprs) {
-        if (const auto id = resolve_mutex(program, expr, fn.cls)) acquires[i].insert(*id);
-      }
-    }
-    for (const auto& call : fn.calls) {
-      for (const std::size_t c : resolve_call(program, call, fn)) {
-        callees[i].push_back(c);
-      }
-    }
-  }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const std::size_t c : callees[i]) {
-        for (const auto& id : acquires[c]) {
-          if (acquires[i].insert(id).second) changed = true;
-        }
-      }
-    }
-  }
-
-  // --- lock-order edges ---------------------------------------------------
-  std::map<EdgeKey, LockEdge> edges;
-  auto add_edge = [&](const std::string& from, const std::string& to,
-                      const FunctionModel& via, std::size_t line) {
-    if (from == to) return;  // same class+member: either atomic multi-lock
-                             // (scoped_lock) or a distinct-object handoff
-    const EdgeKey key{from, to};
-    if (edges.count(key) == 0) {
-      edges[key] = LockEdge{from, to, via.file, line, via.qualified};
-    }
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const FunctionModel& fn = *program.functions[i];
-    for (const auto& nested : fn.nested) {
-      const auto from = resolve_mutex(program, nested.held_expr, fn.cls);
-      const auto to = resolve_mutex(program, nested.acquired_expr, fn.cls);
-      if (from && to) add_edge(*from, *to, fn, nested.line);
-    }
-    for (const auto& call : fn.calls) {
-      if (call.held.empty()) continue;
-      std::set<std::string> callee_locks;
-      for (const std::size_t c : resolve_call(program, call, fn)) {
-        callee_locks.insert(acquires[c].begin(), acquires[c].end());
-      }
-      if (callee_locks.empty()) continue;
-      for (const auto& held : call.held) {
-        const auto from = resolve_mutex(program, held, fn.cls);
-        if (!from) continue;
-        for (const auto& to : callee_locks) add_edge(*from, to, fn, call.line);
-      }
-    }
-  }
-  for (const auto& [_, edge] : edges) result.edges.push_back(edge);
-  result.stats.lock_edges = edges.size();
-
-  // --- pass: lock-cycle ---------------------------------------------------
-  std::map<std::string, std::set<std::string>> adj;
-  for (const auto& [key, _] : edges) adj[key.from].insert(key.to);
-  for (const auto& scc : strongly_connected(adj)) {
-    if (scc.size() < 2) continue;
-    ++result.stats.cycles;
-    const std::set<std::string> members(scc.begin(), scc.end());
-    const LockEdge* anchor = nullptr;
-    std::vector<std::string> hops;
-    for (const auto& [key, edge] : edges) {
-      if (members.count(key.from) == 0 || members.count(key.to) == 0) continue;
-      if (anchor == nullptr) anchor = &edge;
-      if (hops.size() < 4) {
-        hops.push_back(edge.from + " -> " + edge.to + " at " + edge.file + ":" +
-                       std::to_string(edge.line) + " (in " + edge.via + ")");
-      }
-    }
-    Finding finding;
-    finding.file = anchor->file;
-    finding.line = anchor->line;
-    finding.pass = "lock-cycle";
-    finding.message = "lock-order cycle among {" + join(scc, ", ") + "}: " +
-                      join(hops, "; ");
-    emit(std::move(finding));
-  }
-
-  // --- pass: lock-held-blocking ------------------------------------------
-  for (std::size_t i = 0; i < n; ++i) {
-    const FunctionModel& fn = *program.functions[i];
-    for (const auto& call : fn.calls) {
-      if (call.held.empty()) continue;
-      const std::string simple = last_component(call.name);
-      if (!is_blocking_call(simple, call.held.size())) continue;
-      std::vector<std::string> held_names;
-      for (const auto& expr : call.held) {
-        const auto id = resolve_mutex(program, expr, fn.cls);
-        held_names.push_back(id ? *id : expr);
-      }
-      Finding finding;
-      finding.file = fn.file;
-      finding.line = call.line;
-      finding.pass = "lock-held-blocking";
-      finding.message = "blocking call " +
-                        (call.name == "<io-stream>" ? std::string("to stream I/O")
-                                                    : "'" + call.name + "'") +
-                        " while holding {" + join(held_names, ", ") + "} in " +
-                        fn.qualified;
-      emit(std::move(finding));
-    }
-  }
 
   // --- pass: unordered-escape --------------------------------------------
   for (std::size_t i = 0; i < n; ++i) {

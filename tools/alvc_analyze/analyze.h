@@ -1,15 +1,7 @@
-// alvc_analyze: whole-program lock-order and determinism analyzer.
+// alvc_analyze: whole-program determinism and layering analyzer.
 //
-// Four passes over the linked per-TU models (model.h):
+// Two passes over the linked per-TU models (model.h):
 //
-//   lock-cycle           the lock-order graph (nodes: `Class::member`
-//                        mutexes; edges: nested RAII acquisitions plus
-//                        transitive acquisitions through the call graph)
-//                        must be acyclic — a cycle is a potential deadlock.
-//   lock-held-blocking   no blocking call (thread-pool submit/wait_all,
-//                        condition-variable waits that pin a second lock,
-//                        sleeps, stream I/O, control-plane entry points)
-//                        while any lock is held.
 //   unordered-escape     iteration over an unordered container must not
 //                        escape in hash order: a range-for over an
 //                        unordered_map/set whose body feeds an
@@ -51,23 +43,9 @@ struct Stats {
   std::size_t tus = 0;
   std::size_t lines = 0;
   std::size_t functions = 0;
-  std::size_t mutexes = 0;
-  std::size_t lock_sites = 0;
   std::size_t call_sites = 0;
-  std::size_t lock_edges = 0;
-  std::size_t cycles = 0;
   std::size_t findings = 0;
   std::size_t suppressed = 0;
-};
-
-/// One edge of the linked lock-order graph, exported for the runtime
-/// LockRank table test and for diagnostics.
-struct LockEdge {
-  std::string from;  // `Class::member` acquired first
-  std::string to;    // acquired while `from` is held
-  std::string file;
-  std::size_t line = 0;
-  std::string via;   // qualified function the edge was observed in
 };
 
 class Analyzer {
@@ -78,7 +56,6 @@ class Analyzer {
   struct Result {
     std::vector<Finding> findings;    // unsuppressed, sorted by (file, line)
     std::vector<Finding> suppressed;  // waived by allow() comments
-    std::vector<LockEdge> edges;      // full lock-order graph
     Stats stats;
   };
 

@@ -1,5 +1,5 @@
 // alvc_analyze driver: parses every C++ file under the given roots, links
-// them into one program model, runs the four passes (see analyze.h), and
+// them into one program model, runs the two passes (see analyze.h), and
 // exits non-zero on any unsuppressed, un-baselined finding.
 //
 // Usage: alvc_analyze [--exclude SUBSTR]... [--baseline FILE]
@@ -12,8 +12,9 @@
 // exists so a future true-but-deferred finding can be parked visibly
 // instead of silencing the whole gate.
 //
-// --stats-json writes run statistics (TUs, edges, cycles, wall time) as a
-// small JSON artifact so CI can chart analyzer coverage next to BENCH_*.
+// --stats-json writes run statistics (TUs, functions, call sites, findings,
+// wall time) as a small JSON artifact so CI can chart analyzer coverage
+// next to BENCH_*.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -93,11 +94,7 @@ void write_stats_json(const std::string& path, const alvc::analyze::Stats& stats
       << "  \"tus\": " << stats.tus << ",\n"
       << "  \"lines\": " << stats.lines << ",\n"
       << "  \"functions\": " << stats.functions << ",\n"
-      << "  \"mutexes\": " << stats.mutexes << ",\n"
-      << "  \"lock_sites\": " << stats.lock_sites << ",\n"
       << "  \"call_sites\": " << stats.call_sites << ",\n"
-      << "  \"lock_edges\": " << stats.lock_edges << ",\n"
-      << "  \"lock_cycles\": " << stats.cycles << ",\n"
       << "  \"findings\": " << stats.findings << ",\n"
       << "  \"suppressed\": " << stats.suppressed << ",\n"
       << "  \"baselined\": " << baselined_count << ",\n"
@@ -135,8 +132,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: alvc_analyze [--exclude SUBSTR]... [--baseline FILE] "
                    "[--stats-json FILE] <file-or-dir>...\n"
-                   "passes: lock-cycle, lock-held-blocking, unordered-escape, "
-                   "layering-call\n";
+                   "passes: unordered-escape, layering-call\n";
       return 0;
     } else {
       roots.push_back(arg);
@@ -204,10 +200,9 @@ int main(int argc, char** argv) {
     write_stats_json(stats_path, result.stats, baselined_count, wall_ms);
   }
   std::cout << "alvc_analyze: " << result.stats.tus << " TUs, "
-            << result.stats.functions << " functions, " << result.stats.mutexes
-            << " mutexes, " << result.stats.lock_edges << " lock edges, "
-            << result.stats.cycles << " cycle" << (result.stats.cycles == 1 ? "" : "s")
-            << ", " << finding_count << " finding" << (finding_count == 1 ? "" : "s");
+            << result.stats.functions << " functions, " << result.stats.call_sites
+            << " call sites, " << finding_count << " finding"
+            << (finding_count == 1 ? "" : "s");
   if (result.stats.suppressed > 0) {
     std::cout << " (" << result.stats.suppressed << " suppressed)";
   }

@@ -4,8 +4,8 @@
 // The parser is deliberately not a C++ front end. It reuses the alvc_lint
 // comment/string stripper, tracks namespace/class/function scopes by brace
 // depth, and pattern-matches the narrow idioms this codebase actually uses:
-// RAII lock guards, `Class::member` mutex declarations, range-for loops, and
-// qualified or simple-name calls. Anything it cannot resolve it drops rather
+// unordered container declarations, range-for loops, and qualified or
+// simple-name calls. Anything it cannot resolve it drops rather
 // than guesses — the analyzer's contract is "no false negatives on the
 // idioms we write", not "sound for arbitrary C++".
 #pragma once
@@ -18,17 +18,6 @@
 
 namespace alvc::analyze {
 
-/// A mutex-typed declaration: class member (`cls` nonempty) or
-/// namespace-scope global (`cls` empty). Identity used in the lock-order
-/// graph is `cls::name` (or `::name` for globals).
-struct MutexDecl {
-  std::string cls;
-  std::string name;
-  std::string file;
-  std::size_t line = 0;
-  bool shared = false;  // std::shared_mutex
-};
-
 /// An unordered container declaration visible program-wide (class member or
 /// namespace-scope). Used by the determinism pass to decide whether a
 /// range-for iterates in hash order.
@@ -38,30 +27,13 @@ struct UnorderedDecl {
   std::size_t line = 0;
 };
 
-/// One RAII acquisition site. scoped_lock may acquire several mutexes
-/// atomically (std::lock), so `exprs` is a list and no ordering edges are
-/// drawn between its own members.
-struct LockAcquisition {
-  std::vector<std::string> exprs;  // raw mutex expressions, as written
-  std::size_t line = 0;
-};
-
-/// A second acquisition made while `held_expr` is still held — the direct
-/// source of lock-order edges.
-struct NestedLock {
-  std::string held_expr;
-  std::string acquired_expr;
-  std::size_t line = 0;
-};
-
-/// A call site with the raw lock expressions held at that point. `name` is
-/// the callee as written (possibly qualified `a::b::c`); resolution against
-/// the program-wide function registry happens at link time.
+/// A call site. `name` is the callee as written (possibly qualified
+/// `a::b::c`); resolution against the program-wide function registry
+/// happens at link time.
 struct CallSite {
   std::string name;
   bool member_call = false;  // written obj.name(...) or obj->name(...)
   std::size_t line = 0;
-  std::vector<std::string> held;
 };
 
 /// A range-for whose range expression is a plain identifier (possibly
@@ -81,8 +53,6 @@ struct FunctionModel {
   std::string simple;     // last name component
   std::string file;
   std::size_t line = 0;
-  std::vector<LockAcquisition> locks;
-  std::vector<NestedLock> nested;
   std::vector<CallSite> calls;
   std::vector<UnorderedLoop> loops;
   std::vector<std::size_t> sort_lines;     // std::sort / stable_sort sites
@@ -94,7 +64,6 @@ struct FunctionModel {
 struct TuModel {
   std::string path;
   std::size_t lines = 0;
-  std::vector<MutexDecl> mutexes;
   std::vector<UnorderedDecl> unordered;
   std::vector<FunctionModel> functions;
   // line -> passes waived by an `alvc-analyze: allow(<pass>)` comment.

@@ -2,10 +2,8 @@
 // non-goals. Structure: a character scanner tracks braces and classifies
 // each `{` as namespace / class / function / plain block from the pending
 // declaration chunk; inside function bodies a line-oriented matcher records
-// lock acquisitions, calls (with the held-lock snapshot), range-for loops
-// over identifiers, and escape sinks.
+// calls, range-for loops over identifiers, and escape sinks.
 #include <cctype>
-#include <optional>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -16,18 +14,6 @@
 
 namespace alvc::analyze {
 namespace {
-
-const std::regex& lock_decl_re() {
-  // std::lock_guard<std::mutex> lock(mu_);  /  std::scoped_lock lock(a, b);
-  static const std::regex re(
-      R"(std\s*::\s*(lock_guard|unique_lock|shared_lock|scoped_lock)\s*(?:<[^;{}>]*>)?\s+(\w+)\s*\(([^;{}]*)\))");
-  return re;
-}
-
-const std::regex& unlock_re() {
-  static const std::regex re(R"((\w+)\s*\.\s*unlock\s*\()");
-  return re;
-}
 
 const std::regex& unordered_local_re() {
   static const std::regex re(
@@ -45,26 +31,14 @@ const std::regex& sink_re() {
   return re;
 }
 
-const std::regex& io_stream_re() {
-  static const std::regex re(
-      R"(std\s*::\s*(cout|cerr|clog|ofstream|ifstream|fstream)\b|\bgetline\s*\()");
-  return re;
-}
-
 const std::regex& call_re() {
   static const std::regex re(
       R"((?:(\.|->)\s*)?([A-Za-z_]\w*(?:\s*::\s*[A-Za-z_~]\w*)*)\s*\()");
   return re;
 }
 
-const std::regex& mutex_decl_re() {
-  static const std::regex re(R"(std\s*::\s*(recursive_|shared_|timed_)?mutex\s+(\w+))");
-  return re;
-}
-
 const std::regex& unordered_member_re() {
-  // Matches the declaration; the member name is extracted separately because
-  // trailing ALVC_GUARDED_BY(...) annotations follow the declarator.
+  // Matches the declaration; the member name is extracted separately.
   static const std::regex re(R"(std\s*::\s*unordered_(map|set|multimap|multiset)\s*<)");
   return re;
 }
@@ -109,25 +83,6 @@ std::string last_identifier(const std::string& expr) {
   return out;
 }
 
-/// Splits a parenthesized argument list at top-level commas.
-std::vector<std::string> split_args(const std::string& args) {
-  std::vector<std::string> out;
-  int depth = 0;
-  std::string cur;
-  for (const char c : args) {
-    if (c == '(' || c == '<' || c == '{' || c == '[') ++depth;
-    if (c == ')' || c == '>' || c == '}' || c == ']') --depth;
-    if (c == ',' && depth == 0) {
-      out.push_back(trim(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!trim(cur).empty()) out.push_back(trim(cur));
-  return out;
-}
-
 class Parser {
  public:
   explicit Parser(std::string path) { tu_.path = std::move(path); }
@@ -167,12 +122,6 @@ class Parser {
   struct Scope {
     enum Kind { kNamespace, kClass, kFunction, kBlock } kind = kBlock;
     std::string name;
-  };
-
-  struct ActiveLock {
-    std::vector<std::string> exprs;
-    int depth = 0;
-    std::string var;  // guard variable, for .unlock() tracking
   };
 
   struct ActiveLoop {
@@ -321,14 +270,12 @@ class Parser {
     tu_.functions.push_back(std::move(fn));
     scopes_.push_back({Scope::kFunction, name});
     fdepth_ = 1;
-    locks_.clear();
     loops_.clear();
   }
 
   void end_function() {
     for (const auto& loop : loops_) finish_loop(loop);
     loops_.clear();
-    locks_.clear();
   }
 
   void parse_declaration() {
@@ -341,23 +288,10 @@ class Parser {
         break;
       }
     }
-    std::smatch m;
-    if (std::regex_search(chunk, m, mutex_decl_re())) {
-      MutexDecl decl;
-      decl.cls = cls;
-      decl.name = m[2].str();
-      decl.file = tu_.path;
-      decl.line = line_no_;
-      decl.shared = m[1].matched && m[1].str() == "shared_";
-      tu_.mutexes.push_back(std::move(decl));
-      return;
-    }
-    if (std::regex_search(chunk, m, unordered_member_re()) &&
+    if (std::regex_search(chunk, unordered_member_re()) &&
         chunk.find('(') == std::string::npos) {
-      // Member name: last identifier after stripping annotation macros and
-      // any default initializer.
+      // Member name: last identifier before any default initializer.
       std::string decl = chunk;
-      decl = std::regex_replace(decl, std::regex(R"(ALVC_\w+\s*\([^)]*\))"), "");
       const std::size_t eq = decl.find('=');
       if (eq != std::string::npos) decl = decl.substr(0, eq);
       const std::size_t close = decl.rfind('>');
@@ -370,19 +304,6 @@ class Parser {
   // --- function-body mode --------------------------------------------------
 
   FunctionModel& fn() { return tu_.functions.back(); }
-
-  std::vector<std::string> held_exprs() const {
-    std::vector<std::string> out;
-    for (const auto& lock : locks_) {
-      for (const auto& e : lock.exprs) out.push_back(e);
-    }
-    return out;
-  }
-
-  void pop_to_depth(int depth) {
-    while (!locks_.empty() && locks_.back().depth > depth) locks_.pop_back();
-    flush_loops(depth);
-  }
 
   void flush_loops(int depth) {
     // A braced loop's body lives at close_depth; once the current depth
@@ -416,13 +337,13 @@ class Parser {
 
   std::size_t feed_body(const std::string& text, std::size_t pos) {
     expire_unbraced_loops();
-    // Leading closers first, so same-line regexes see the post-pop held set.
+    // Leading closers first, so same-line matches see the post-pop loop set.
     std::size_t scan = pos;
     while (scan < text.size() &&
            (text[scan] == ' ' || text[scan] == '\t' || text[scan] == '}')) {
       if (text[scan] == '}') {
         --fdepth_;
-        pop_to_depth(fdepth_);
+        flush_loops(fdepth_);
         if (fdepth_ == 0) {
           end_function();
           scopes_.pop_back();
@@ -432,14 +353,14 @@ class Parser {
       ++scan;
     }
     const std::string body = text.substr(scan);
-    match_body(body, scan);
+    match_body(body);
     // Remaining braces decide scope: a mid-line `}` that ends the function
     // hands the rest of the line back to the chunk scanner.
     for (std::size_t i = scan; i < text.size(); ++i) {
       if (text[i] == '{') ++fdepth_;
       if (text[i] == '}') {
         --fdepth_;
-        pop_to_depth(fdepth_);
+        flush_loops(fdepth_);
         if (fdepth_ == 0) {
           end_function();
           scopes_.pop_back();
@@ -451,8 +372,8 @@ class Parser {
   }
 
   // Brace delta accumulated before `pos` within this body segment, so a
-  // one-line `{ std::lock_guard g(mu_); ... }` records the lock at the
-  // depth the trailing `}` actually pops.
+  // one-line `for (...) { ... }` records its loop at the depth the trailing
+  // `}` actually pops.
   int depth_at(const std::string& body, std::size_t pos) const {
     int delta = 0;
     for (std::size_t i = 0; i < pos && i < body.size(); ++i) {
@@ -462,42 +383,8 @@ class Parser {
     return fdepth_ + delta;
   }
 
-  void match_body(const std::string& body, std::size_t /*col*/) {
+  void match_body(const std::string& body) {
     std::smatch m;
-    // Guard releases before new acquisitions: `lock.unlock(); other.lock()`.
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), unlock_re());
-         it != std::sregex_iterator(); ++it) {
-      const std::string var = (*it)[1].str();
-      for (std::size_t i = locks_.size(); i-- > 0;) {
-        if (locks_[i].var == var) {
-          locks_.erase(locks_.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-    if (std::regex_search(body, m, lock_decl_re())) {
-      std::vector<std::string> exprs;
-      bool deferred = false;
-      for (const auto& arg : split_args(m[3].str())) {
-        if (arg.find("defer_lock") != std::string::npos) deferred = true;
-        if (arg.find("std::") != std::string::npos &&
-            arg.find("lock") != std::string::npos) {
-          continue;  // tag arguments: adopt_lock, try_to_lock, defer_lock
-        }
-        if (!arg.empty()) exprs.push_back(arg);
-      }
-      if (!deferred && !exprs.empty()) {
-        for (const auto& held : held_exprs()) {
-          for (const auto& acquired : exprs) {
-            fn().nested.push_back(NestedLock{held, acquired, line_no_});
-          }
-        }
-        fn().locks.push_back(LockAcquisition{exprs, line_no_});
-        locks_.push_back(
-            ActiveLock{exprs, depth_at(body, static_cast<std::size_t>(m.position(0))),
-                       m[2].str()});
-      }
-    }
     if (std::regex_search(body, m, unordered_local_re())) {
       fn().local_unordered.insert(m[1].str());
     }
@@ -562,7 +449,6 @@ class Parser {
   }
 
   void match_calls(const std::string& body) {
-    const auto held = held_exprs();
     for (auto it = std::sregex_iterator(body.begin(), body.end(), call_re());
          it != std::sregex_iterator(); ++it) {
       std::string name = (*it)[2].str();
@@ -572,14 +458,6 @@ class Parser {
       call.name = std::move(name);
       call.member_call = (*it)[1].matched;
       call.line = line_no_;
-      call.held = held;
-      fn().calls.push_back(std::move(call));
-    }
-    if (!held.empty() && std::regex_search(body, io_stream_re())) {
-      CallSite call;
-      call.name = "<io-stream>";
-      call.line = line_no_;
-      call.held = held;
       fn().calls.push_back(std::move(call));
     }
   }
@@ -591,7 +469,6 @@ class Parser {
   std::vector<Scope> scopes_;
   std::string chunk_;
   int fdepth_ = 0;
-  std::vector<ActiveLock> locks_;
   std::vector<ActiveLoop> loops_;
 };
 

@@ -113,18 +113,6 @@ const std::vector<Rule>& rules() {
         [](std::string_view path) {
           return path_in_layer(path, "graph") || path_in_layer(path, "topology");
         }});
-    r.push_back(Rule{
-        "raw-lock",
-        "recursive mutex or naked lock() call outside an RAII guard; hold every "
-        "mutex through lock_guard/unique_lock/scoped_lock so alvc_analyze and the "
-        "LockRank runtime can see the acquisition (recursive locking hides "
-        "re-entrancy the lock-order model cannot rank)",
-        // `.lock()` / `->lock()` with an empty argument list is a manual
-        // acquisition; `try_lock`/`unlock` and RAII declarations that merely
-        // NAME a guard `lock` do not match (the guard name is followed by
-        // `(mu_)`, never by an empty call).
-        std::regex(R"(std\s*::\s*recursive_mutex|(\.|->)\s*lock\s*\(\s*\))", flags),
-        [](std::string_view path) { return !src_layer(path).empty(); }});
     return r;
   }();
   return kRules;

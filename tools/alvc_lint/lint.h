@@ -1,6 +1,6 @@
 // alvc_lint: project-specific source rules clang-tidy cannot know.
 //
-// Eight rules, each encoding a contract earlier PRs established:
+// Seven rules, each encoding a contract earlier PRs established:
 //
 //   nondeterministic-rng  no rand()/srand()/std::random_device/wall-clock
 //                         seeds in src/ or tests/ — every stochastic path
@@ -33,11 +33,6 @@
 //                         graph/ or topology/ hot paths — adjacency and
 //                         per-vertex state live in CSR arrays or stamped
 //                         scratch (graph/scratch.h).
-//   raw-lock              no std::recursive_mutex and no naked
-//                         `.lock()`/`->lock()` calls in src/ — every
-//                         acquisition goes through an RAII guard so the
-//                         alvc_analyze lock-order model and the runtime
-//                         util::LockRank scopes see it.
 //
 // A line suppresses a rule with `alvc-lint: allow(<rule>)` in a comment.
 // The scanner strips comments and string/char literals before matching, so
